@@ -1,8 +1,8 @@
 """Rule ``kernel-dispatch``: hot paths reach kernels only through dispatch.
 
 Contract (from the PR-10 kernel subsystem in ``repro.kernels``): the
-implementation tiers — ``repro.kernels.numpy_impl``, ``repro.kernels.c_impl``,
-``repro.kernels.numba_impl`` — are interchangeable backends behind one
+implementation tiers — every ``repro.kernels.*_impl`` module, today
+``numpy_impl`` and ``c_impl`` — are interchangeable backends behind one
 dispatcher.  The dispatcher owns tier probing, availability caching, the
 ``REPRO_KERNEL``/``SimContext.kernel`` override order and the guarantee that
 a missing compiler degrades to the numpy reference instead of raising.  A
@@ -20,12 +20,12 @@ delegate to each other's reference paths).
 from __future__ import annotations
 
 import ast
-from typing import List, Sequence, Set
+from typing import List, Sequence
 
 from repro.analysis.core import Finding, Rule, SourceFile
 
-#: implementation modules private to the dispatcher
-IMPL_MODULES: Set[str] = {"numpy_impl", "c_impl", "numba_impl"}
+#: suffix of the implementation modules private to the dispatcher
+IMPL_SUFFIX = "_impl"
 
 _PACKAGE = "repro.kernels"
 
@@ -35,7 +35,7 @@ def _impl_of(dotted: str) -> str:
     if not dotted.startswith(_PACKAGE + "."):
         return ""
     leaf = dotted[len(_PACKAGE) + 1 :].split(".", 1)[0]
-    return leaf if leaf in IMPL_MODULES else ""
+    return leaf if leaf.endswith(IMPL_SUFFIX) else ""
 
 
 def _is_kernels_module(rel: str) -> bool:
@@ -69,7 +69,7 @@ class KernelDispatchRule(Rule):
                         continue
                     if module == _PACKAGE:
                         for alias in node.names:
-                            if alias.name in IMPL_MODULES:
+                            if alias.name.endswith(IMPL_SUFFIX):
                                 findings.append(
                                     self._finding(source, node, alias.name)
                                 )

@@ -226,9 +226,9 @@ class SimContext:
     #: analog executions only — ideal mode stays the exact reference — and
     #: are applied at wiring time, so programmed states stay fault-free.
     faults: Optional["FaultModel"] = None
-    #: hot-loop implementation tier serving the read-out chain and im2col
-    #: (see :mod:`repro.kernels.dispatch`): ``"auto"`` (first available of
-    #: compiled C → numba → numpy, overridable via ``REPRO_KERNEL``) or an
+    #: hot-loop implementation tier serving the read-out chain and the code
+    #: gather (see :mod:`repro.kernels.dispatch`): ``"auto"`` (compiled C
+    #: when available, else numpy; overridable via ``REPRO_KERNEL``) or an
     #: explicit tier name.  Performance metadata, not simulation semantics:
     #: float64 results are bit-identical across tiers, so the tier is
     #: excluded from equality/hashing and from every content key — cached

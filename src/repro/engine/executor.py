@@ -10,9 +10,16 @@ counts them, and pushes real activations through the
 1. per-layer weight programming — symmetric ``weight_bits`` quantisation,
    offset encoding and the bit-cell slice split (packed per-slice tensors
    by default, legacy per-tile crossbar objects with ``backend="tiled"``),
-2. im2col slicing of the (unsigned-quantised) input activations,
+2. per-image unsigned quantisation of the input activations, then one
+   dispatched gather (:func:`repro.kernels.dispatch.im2col_pack`) that
+   converts once and forwards: it reads each code once — at any strides,
+   so a channels-last producer output needs no copy — and writes the
+   im2col windows straight as DTC pulse widths in the compute dtype, plus
+   each group's exact code sums (TIMELY's only-once input read, O²IR;
+   FC layers are its 1×1 case),
 3. time-domain dot products batched over input columns *and* over the
-   images of a batch, with optional :mod:`repro.circuits.noise` injection,
+   images of a batch, every row tile and bit-cell slice reading that one
+   operand, with optional :mod:`repro.circuits.noise` injection,
 4. partial-sum recombination across row tiles, digital offset removal,
    dequantisation and bias addition,
 5. auxiliary layers (ReLU, pooling, batch-norm, flatten, GAP, residual
@@ -61,6 +68,7 @@ from repro.engine.reference import (
 )
 from repro.engine.tiles import MODES, TiledMatmul
 from repro.kernels.dispatch import im2col_pack
+from repro.nn import functional as F
 from repro.nn.layers import Conv2D, FullyConnected
 from repro.nn.network import NETWORK_INPUT, LayerInstance, Network
 from repro.nn.quantization import (
@@ -339,7 +347,7 @@ class _MappedComputeLayer:
         self.kernel = state.kernel
         self.n_groups = state.n_groups
         self.out_channels = state.out_channels
-        #: hot-loop tier request for the im2col gather (performance
+        #: hot-loop tier request for the code gather (performance
         #: metadata off the context; never part of the layer state)
         self._kernel_tier = ctx.kernel
         # noise scopes derive from the layer index, so noisy draws are
@@ -383,11 +391,8 @@ class _MappedComputeLayer:
             return self._packed.programmed_bytes
         return sum(group.programmed_bytes for group in self._groups)
 
-    def _matmul(self, codes: np.ndarray) -> np.ndarray:
-        """Dispatch ``(positions, total_rows)`` codes to the backend."""
-        if self._packed is not None:
-            # codes were produced by quantize_unsigned_batch: already in range
-            return self._packed.matmul(codes, validate=False)
+    def _tiled_matmul(self, codes: np.ndarray) -> np.ndarray:
+        """Run ``(positions, total_rows)`` codes through the per-group tiles."""
         if self.n_groups == 1:
             return self._groups[0].matmul(codes)
         group_rows = codes.shape[1] // self.n_groups
@@ -403,8 +408,9 @@ class _MappedComputeLayer:
         """Quantise a batch, run it through the tiles, dequantise the result.
 
         ``acts`` is ``(N, C, H, W)`` for conv layers or ``(N, features)``
-        for FC layers; each image gets its own quantisation scale while the
-        matmuls run once over the whole batch.
+        for FC layers (a 1×1 window over an ``(N, features, 1, 1)`` view);
+        each image gets its own quantisation scale while the matmuls run
+        once over the whole batch.
         """
         try:
             values, in_scales = quantize_unsigned_batch(acts, input_bits)
@@ -416,27 +422,38 @@ class _MappedComputeLayer:
             ) from exc
         n = values.shape[0]
         if self.kind == "fc":
-            codes = values.reshape(n, -1)
-            out = self._matmul(codes)  # (N, out_features)
-            np.multiply(out, self.w_scales[None, :] * in_scales[:, None], out=out)
-            if self.bias is not None:
-                np.add(out, self.bias, out=out)
-            return out
-        # conv: one im2col over the batch; the channel-major patch layout
-        # keeps each group's rows contiguous, so the grouped matmul slices
-        # the same columns the per-group im2col used to produce.  Routed
-        # through the kernel dispatch layer (compiled gather when
-        # available, the historical numpy strided copy otherwise — same
-        # bytes and layout either way).
-        cols, out_h, out_w = im2col_pack(
-            values, self.kernel, self.stride, self.pad, kernel=self._kernel_tier
-        )
-        positions = cols.shape[1]
-        out = self._matmul(cols.reshape(n * positions, -1))
+            values = values.reshape(n, -1, 1, 1)
+            kernel = stride = 1
+        else:
+            kernel, stride = self.kernel, self.stride
+        if self._packed is not None:
+            # the only-once input read: one dispatched gather reads the
+            # codes (channels-last from the previous layer, any strides),
+            # converts each window element once into the layer's crossbar
+            # operand and sums the codes per group — the channel-major
+            # patch layout keeps each group's rows contiguous
+            packed = self._packed
+            operand, code_sums, out_h, out_w = im2col_pack(
+                values,
+                kernel,
+                stride,
+                self.pad,
+                groups=self.n_groups,
+                scale=packed.operand_scale,
+                dtype=packed.operand_dtype,
+                kernel=self._kernel_tier,
+            )
+            out = packed.matmul(operand, code_sums)
+        else:
+            cols, out_h, out_w = F.im2col_batch(values, kernel, stride, self.pad)
+            out = self._tiled_matmul(cols.reshape(-1, cols.shape[2]))
+        positions = out_h * out_w
         out = out.reshape(n, positions, self.out_channels)
         np.multiply(out, self.w_scales[None, None, :] * in_scales[:, None, None], out=out)
         if self.bias is not None:
             np.add(out, self.bias, out=out)
+        if self.kind == "fc":
+            return out.reshape(n, self.out_channels)
         return out.transpose(0, 2, 1).reshape(n, self.out_channels, out_h, out_w)
 
 

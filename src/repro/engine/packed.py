@@ -14,7 +14,15 @@ objects:
   than zero-padded ``arch.rows x arch.cols`` arrays, which for a model like
   vgg_d shrinks programmed state from thousands of padded 256x256 int64 +
   float64 crossbars to ``n_slices`` float64 tensors the size of the weights,
-* one batched ``codes @ G`` matmul per row-tile slice replaces the Python
+* inputs are converted once, then forwarded: the executor's single
+  dispatched gather (:func:`repro.kernels.dispatch.im2col_pack`) reads each
+  quantised code once and writes the layer's crossbar operand — DTC pulse
+  widths, position-major — plus the exact per-group code sums.  This is
+  TIMELY's only-once input read (O²IR, Section III-A): one DTC conversion
+  per input, whose time pulse the X-subBufs forward to every crossbar that
+  needs it.  Here every row tile, bit-cell slice and group reads that one
+  operand through views, and nothing re-expands or re-converts it,
+* one batched ``delays @ G`` matmul per row-tile slice replaces the Python
   loop over ``row_tiles x col_tiles x slices`` tile objects (the column-tile
   axis vanishes entirely: a packed slice holds every output column), and
   grouped convolutions ride the same call as a stacked leading matmul axis,
@@ -53,7 +61,7 @@ from repro.circuits.timing import TimeDomainChainSpec
 from repro.context import ArchSpec, SimContext
 from repro.engine.errors import EngineError
 from repro.engine.tiles import MODES
-from repro.kernels.dispatch import readout_fused
+from repro.kernels.dispatch import im2col_pack, readout_fused
 
 #: float64 integer matmuls are exact below this product-sum magnitude
 _EXACT_FLOAT_BOUND = float(2 ** 53)
@@ -318,6 +326,18 @@ class PackedMatmul:
             program_noise = ctx.noise.stream("packed", *salt_parts, "program")
             self._read_noise = ctx.noise.stream("packed", *salt_parts, "read")
 
+        #: how the gather converts this layer's codes (convert once, then
+        #: forward): DTC pulse widths in the compute dtype, except that
+        #: ideal mode wants the raw codes in the encoded dtype and a
+        #: jittered DTC draws on the raw codes (as float64) itself
+        self._jittered = (
+            mode == "analog"
+            and self._read_noise is not None
+            and self._read_noise.dtc_sigma > 0
+        )
+        self.operand_dtype = np.dtype(np.float64) if self._jittered else self.compute_dtype
+        self.operand_scale = 1.0 if self._jittered or mode == "ideal" else self.spec.dtc.t_del_s
+
         self._encoded = encoded
         if program_noise is not None:
             # per-executor programming variation over the shared base tensors;
@@ -391,16 +411,15 @@ class PackedMatmul:
         """Backend-uniform alias of :attr:`packed_bytes` (cf. ``TiledMatmul``)."""
         return self.packed_bytes
 
-    def matmul(self, codes: np.ndarray, validate: bool = True) -> np.ndarray:
-        """Push input codes through the packed slices and recombine.
+    def gather(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The :meth:`matmul` operands of a ``(positions, rows)`` code matrix.
 
-        ``codes`` is a ``(positions, n_groups * rows_needed)`` matrix of
-        unsigned input codes — identical to the
-        :meth:`~repro.engine.tiles.TiledMatmul.matmul` contract, with the
-        groups' code blocks concatenated along the row axis (the natural
-        im2col channel-major layout).  Returns the signed dot products as
-        ``(positions, out_cols)``.  ``validate=False`` skips the input range
-        scan for callers that already quantised the codes themselves.
+        ``codes`` holds unsigned input codes with the groups' blocks
+        concatenated along the row axis (the
+        :meth:`~repro.engine.tiles.TiledMatmul.matmul` contract); their
+        shape and range are checked.  They go through the executor's own
+        gather as a 1×1 window, so code-matrix callers exercise exactly
+        the engine's conversion.
         """
         codes = np.asarray(codes, dtype=np.int64)
         expected_rows = self.n_groups * self.rows_needed
@@ -409,41 +428,76 @@ class PackedMatmul:
                 f"expected codes of shape (positions, {expected_rows}), "
                 f"got {codes.shape}"
             )
-        if validate:
-            levels = 2 ** self.ctx.arch.input_bits
-            if np.any(codes < 0) or np.any(codes >= levels):
-                raise EngineError(
-                    f"input codes must lie in [0, {levels - 1}] for "
-                    f"{self.ctx.arch.input_bits}-bit inputs"
-                )
-        positions = codes.shape[0]
+        levels = 2 ** self.ctx.arch.input_bits
+        if np.any(codes < 0) or np.any(codes >= levels):
+            raise EngineError(
+                f"input codes must lie in [0, {levels - 1}] for "
+                f"{self.ctx.arch.input_bits}-bit inputs"
+            )
+        operand, code_sums, _, _ = im2col_pack(
+            codes[:, :, None, None],
+            1,
+            groups=self.n_groups,
+            scale=self.operand_scale,
+            dtype=self.operand_dtype,
+            kernel=self._kernel,
+        )
+        return operand, code_sums
+
+    def matmul(self, operand: np.ndarray, code_sums: np.ndarray) -> np.ndarray:
+        """Drive the packed slices with converted inputs and recombine.
+
+        ``operand`` is the ``(positions, n_groups * rows_needed)``
+        position-major crossbar input that
+        :func:`repro.kernels.dispatch.im2col_pack` produced with this
+        layer's :attr:`operand_scale` / :attr:`operand_dtype` — in the
+        noiseless analog case the DTC pulse widths themselves.  TIMELY's
+        O²IR converts each input once and forwards the time pulse through
+        the X-subBufs to every crossbar that needs it; here the single
+        converted operand is read, unchanged and uncopied, by every row
+        tile and bit-cell slice of every group (a ``(G, positions, R)``
+        view).  ``code_sums`` is the gather's ``(n_groups, positions)``
+        exact integer code sum per group, the operand of the digital
+        offset removal.  Returns the signed dot products as
+        ``(positions, out_cols)``.
+        """
+        positions = operand.shape[0]
         # (G, positions, R): one leading matmul axis per weight-sharing group
-        grouped = codes.reshape(positions, self.n_groups, self.rows_needed)
-        grouped = np.ascontiguousarray(grouped.transpose(1, 0, 2))
+        grouped = operand.reshape(
+            positions, self.n_groups, self.rows_needed
+        ).transpose(1, 0, 2)
 
         if self.mode == "ideal":
             if self._ideal_exact:
                 # float32 payloads are exact here by construction (the
                 # pack-time bound check), so the upcast back to float64
                 # for the digital correction is lossless
-                products = (grouped.astype(self._encoded.dtype) @ self._encoded).astype(
-                    np.float64, copy=False
-                )
+                products = (grouped @ self._encoded).astype(np.float64, copy=False)
             else:  # fall back to (slow) integer matmul beyond the float bound
                 products = (
-                    grouped @ self._encoded.astype(np.int64, order="K")
+                    grouped.astype(np.int64) @ self._encoded.astype(np.int64, order="K")
                 ).astype(np.float64)
         else:
-            products = self._analog_products(grouped, positions)
+            delays = grouped  # the DTC pulse widths themselves
+            if self._jittered:
+                # the gather delivered integer-valued codes; the jittered
+                # DTC draws on them in the historical (G, P, R) shape/order
+                delays = self.spec.dtc.convert(grouped, self._read_noise)
+                delays = delays.astype(self.compute_dtype, copy=False)
+            products = self._analog_products(delays, positions)
 
         # Digital offset removal: every programmed weight carries ``+offset``,
         # so each group's columns over-count by ``offset * sum(group codes)``.
-        correction = self.offset * grouped.sum(axis=2, dtype=np.int64)  # (G, P)
-        np.subtract(products, correction[:, :, None], out=products)
-        # concatenate the groups' output columns (group-major channel order)
-        return np.ascontiguousarray(products.transpose(1, 0, 2)).reshape(
-            positions, self.out_cols
+        # The subtraction writes straight into the (positions, G, cols)
+        # output, concatenating the groups' columns (group-major channel
+        # order) in the same pass.
+        target = (
+            products
+            if self.n_groups == 1
+            else np.empty((positions, self.n_groups, self.group_cols)).transpose(1, 0, 2)
         )
+        np.subtract(products, (self.offset * code_sums)[:, :, None], out=target)
+        return target.transpose(1, 0, 2).reshape(positions, self.out_cols)
 
     def _position_chunk(self, positions: int) -> int:
         """Positions per charge chunk under ``ctx.chunk_bytes`` (all if unset)."""
@@ -526,11 +580,13 @@ class PackedMatmul:
         finally:
             buffer_pool.put(buffers)
 
-    def _analog_products(self, grouped: np.ndarray, positions: int) -> np.ndarray:
+    def _analog_products(self, delays: np.ndarray, positions: int) -> np.ndarray:
         """Time-domain estimate of the grouped integer products.
 
-        One ``codes @ G`` matmul per (row tile, slice) fills a charge tensor
-        of shape ``(row_tiles, n_slices, groups, chunk, group_cols)``; the
+        ``delays`` holds the ``(groups, positions, rows)`` DTC pulse widths
+        in the compute dtype.  One ``delays @ G`` matmul per (row tile,
+        slice) fills a charge tensor of shape ``(row_tiles, n_slices,
+        groups, chunk, group_cols)``; the
         elementwise chain and the digital recombination — the sum over row
         tiles and the power-of-two slice cascade — then run as one fused
         :func:`repro.kernels.dispatch.readout_fused` pass per chunk, fully
@@ -554,17 +610,6 @@ class PackedMatmul:
         chunk writes a disjoint output slice, so the result is
         byte-identical at any worker count.
         """
-        spec = self.spec
-        noise = self._read_noise
-        dtype = self.compute_dtype
-        if noise is not None and noise.dtc_sigma > 0:
-            delays = spec.dtc.convert(grouped, noise)  # (G, P, R) seconds
-            delays = delays.astype(dtype, copy=False)
-        else:
-            # jitter-free DTC on validated codes: the clip is a no-op, so
-            # the conversion collapses to one scale of the whole batch
-            delays = grouped.astype(dtype)
-            delays *= dtype.type(spec.dtc.t_del_s)
         chunk = self._position_chunk(positions)
         # float64 accumulator regardless of compute dtype: the slice/tile
         # recombination and the offset correction downstream cancel

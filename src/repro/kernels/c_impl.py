@@ -25,7 +25,8 @@ bit-for-bit contract the float64 equivalence tests enforce.
 Call model
 ----------
 Every wrapper below guards the compiled fast path: canonical dtypes
-(float32/float64), sane shapes, element-addressable strides.  Calls
+(float32/float64 data, int64 codes), sane shapes, element-addressable
+strides.  Calls
 outside the fast path delegate to :mod:`repro.kernels.numpy_impl`, so this
 module accepts exactly the same inputs as the reference and never changes
 a result — only its speed.  ctypes releases the GIL for the duration of
@@ -47,6 +48,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.kernels import numpy_impl
 
@@ -54,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.dispatch import ReadoutScalars
 
 #: must match repro_kernels_abi_version() in readout.c
-ABI_VERSION = 2
+ABI_VERSION = 3
 #: flags the bit-for-bit contract depends on (see module docstring)
 CFLAGS: Tuple[str, ...] = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -160,12 +162,20 @@ def _bind(path: Path) -> ctypes.CDLL:
         _i64, _i64, _i64, _i64, _i64,  # estimate strides
         _void_p, _i64, _i64, _i64,  # rec_out + strides
     ]
+    gather = [
+        _void_p, _i64, _i64, _i64, _i64,  # codes, N, CH, H, W
+        _i64, _i64, _i64, _i64,  # code strides
+        _i64, _i64, _i64, _i64, _i64,  # kernel, stride, pad, out_h, out_w
+        _i64, _f64,  # groups, scale
+        _void_p, _void_p,  # operand, sums
+    ]
     for name, argtypes in (
         ("readout_fused_f64", fused),
         ("readout_fused_f32", fused),
         ("slice_recombine_f64", recombine),
         ("slice_recombine_f32", recombine),
-        ("im2col_f64", [_void_p] + [_i64] * 9 + [_void_p]),
+        ("im2col_gather_f64", gather),
+        ("im2col_gather_f32", gather),
     ):
         fn = getattr(lib, name)
         fn.restype = None
@@ -338,30 +348,48 @@ def slice_recombine(
 
 
 def im2col_pack(
-    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0
-) -> Tuple[np.ndarray, int, int]:
+    codes: np.ndarray,
+    kernel: int,
+    stride: int = 1,
+    pad: int = 0,
+    *,
+    groups: int = 1,
+    scale: float = 1.0,
+    dtype: DTypeLike = np.float64,
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    out_dtype = np.dtype(dtype)
     if (
-        not isinstance(x, np.ndarray)
-        or x.ndim != 4
-        or x.dtype != np.float64
-        or not x.flags.c_contiguous
+        not isinstance(codes, np.ndarray)
+        or codes.ndim != 4
+        or codes.dtype != np.int64
+        or not codes.flags.aligned
+        or out_dtype not in _SUPPORTED
         or kernel <= 0
         or stride <= 0
         or pad < 0
+        or groups <= 0
+        or codes.shape[1] % groups
+        or any(s % codes.itemsize for s in codes.strides)
     ):
-        return numpy_impl.im2col_pack(x, kernel, stride=stride, pad=pad)
-    n, channels, height, width = x.shape
+        return numpy_impl.im2col_pack(
+            codes, kernel, stride, pad, groups=groups, scale=scale, dtype=dtype
+        )
+    n, channels, height, width = codes.shape
     out_h = (height + 2 * pad - kernel) // stride + 1
     out_w = (width + 2 * pad - kernel) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError("kernel/stride/pad combination produces empty output")
     lib = load()
-    cols = np.empty((n, channels * kernel * kernel, out_h * out_w))
-    lib.im2col_f64(
-        x.ctypes.data, n, channels, height, width,
-        kernel, stride, pad, out_h, out_w, cols.ctypes.data,
+    positions = n * out_h * out_w
+    operand = np.empty((positions, channels * kernel * kernel), dtype=out_dtype)
+    sums = np.empty((groups, positions), dtype=np.int64)
+    st = _element_strides(codes)
+    fn = lib.im2col_gather_f64 if out_dtype == np.float64 else lib.im2col_gather_f32
+    fn(
+        codes.ctypes.data, n, channels, height, width,
+        st[0], st[1], st[2], st[3],
+        kernel, stride, pad, out_h, out_w,
+        groups, float(scale),
+        operand.ctypes.data, sums.ctypes.data,
     )
-    # same value, bytes and layout as the numpy reference: a C-contiguous
-    # (N, C*k*k, positions) buffer viewed as its (N, positions, C*k*k)
-    # transpose, F-contiguous per image for the downstream BLAS matmul
-    return cols.transpose(0, 2, 1), out_h, out_w
+    return operand, sums, out_h, out_w

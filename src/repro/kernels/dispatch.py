@@ -1,8 +1,9 @@
 """Runtime kernel dispatch: one entry point per hot loop, tiered backends.
 
 The engine's two hot loops — the fused time-domain read-out chain and the
-im2col gather — are reachable only through this module.  An ordered
-registry of implementation tiers backs each entry point:
+code-to-operand gather (im2col, DTC conversion and code row-sums in one
+pass) — are reachable only through this module.  An ordered registry of
+implementation tiers backs each entry point:
 
 ``c``
     Hand-written C (``readout.c``) compiled on first use with the system C
@@ -12,30 +13,27 @@ registry of implementation tiers backs each entry point:
     tier; built lazily into a content-hash-keyed cache, or ahead of time
     via ``python -m repro.kernels.build`` / the optional ``setup.py``
     extension.
-``numba``
-    ``@njit(cache=True)`` mirrors of the same loops, used when numba is
-    installed (it is an optional dependency) and the C tier is not.
 ``numpy``
     The historical pure-numpy code, extracted verbatim into
     :mod:`repro.kernels.numpy_impl`.  Always available; the bit-for-bit
-    reference every other tier is tested against.
+    reference the compiled tier is tested against.
 
 Selection: the first available tier in ``KERNEL_TIERS`` order, overridden
 by (highest precedence first) an explicit ``kernel=`` argument, the
 ``SimContext.kernel`` field / ``--kernel`` CLI flag (which pass that
 argument), or the ``REPRO_KERNEL`` environment variable.  A requested tier
-that is unavailable (no compiler, no numba) degrades to the next tier with
-a one-time warning — kernels never make an environment fail.
+that is unavailable (no compiler) degrades to the next tier with a
+one-time warning — kernels never make an environment fail.
 
 The kernel tier is performance metadata, not simulation semantics: float64
 results are bit-identical across tiers, so the tier name deliberately
 stays out of every content key (``SimContext.kernel`` is ``compare=False``;
 see ``engine/state.py``).
 
-Implementation modules (``numpy_impl``, ``c_impl``, ``numba_impl``) must
-never be imported directly by engine code — the ``kernel-dispatch``
-rule in ``repro.analysis`` enforces that only this module reaches them,
-which is what keeps the fallback contract honest.
+Implementation modules (``numpy_impl``, ``c_impl``) must never be imported
+directly by engine code — the ``kernel-dispatch`` rule in
+``repro.analysis`` enforces that only this module reaches them, which is
+what keeps the fallback contract honest.
 """
 
 from __future__ import annotations
@@ -48,11 +46,12 @@ from types import ModuleType
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.kernels import numpy_impl
 
 #: preference order of the implementation tiers
-KERNEL_TIERS: Tuple[str, ...] = ("c", "numba", "numpy")
+KERNEL_TIERS: Tuple[str, ...] = ("c", "numpy")
 #: valid values for SimContext.kernel / --kernel / REPRO_KERNEL
 KERNEL_CHOICES: Tuple[str, ...] = ("auto",) + KERNEL_TIERS
 #: environment variable overriding the default tier
@@ -103,17 +102,14 @@ def _probe(name: str) -> Optional[ModuleType]:
         if name in _unavailable:
             return None
         try:
-            if name == "c":
-                from repro.kernels import c_impl as module
-
-                module.load()  # compiles on first ever use, then cached
-            elif name == "numba":
-                from repro.kernels import numba_impl as module
-            else:  # pragma: no cover - registry and tiers kept in sync
+            if name != "c":  # pragma: no cover - registry and tiers kept in sync
                 raise KernelError(f"unknown kernel tier {name!r}")
+            from repro.kernels import c_impl as module
+
+            module.load()  # compiles on first ever use, then cached
         except KernelError:
             raise
-        except Exception as exc:  # missing compiler/numba must never fail
+        except Exception as exc:  # a missing compiler must never fail
             _unavailable[name] = f"{type(exc).__name__}: {exc}"
             return None
         _modules[name] = module
@@ -221,11 +217,31 @@ def slice_recombine(
 
 
 def im2col_pack(
-    x: np.ndarray,
+    codes: np.ndarray,
     kernel_size: int,
     stride: int = 1,
     pad: int = 0,
+    *,
+    groups: int = 1,
+    scale: float = 1.0,
+    dtype: DTypeLike = np.float64,
     kernel: Optional[str] = None,
-) -> Tuple[np.ndarray, int, int]:
-    """Batched im2col: ``(N, C, H, W)`` to ``(N, positions, C*K*K)`` + dims."""
-    return resolve(kernel)[1].im2col_pack(x, kernel_size, stride=stride, pad=pad)
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """Quantised codes to crossbar operand in one read (TIMELY's O²IR).
+
+    Reads the ``(N, C, H, W)`` integer code tensor once, at any strides,
+    and returns ``(operand, code_sums, out_h, out_w)``:
+
+    * ``operand`` — ``(N*out_h*out_w, C*k*k)`` C-contiguous, position-major
+      im2col rows (channel-major ``(c, ki, kj)`` order, zero-padded
+      borders), each code converted once to ``code * scale`` in ``dtype``
+      (the DTC pulse width when ``scale`` is the unit delay);
+    * ``code_sums`` — ``(groups, N*out_h*out_w)`` exact int64 sums of each
+      weight-sharing group's block of codes per position (the digital
+      offset correction's operand).
+
+    An FC layer is the 1×1 window of an ``(N, features, 1, 1)`` tensor.
+    """
+    return resolve(kernel)[1].im2col_pack(
+        codes, kernel_size, stride, pad, groups=groups, scale=scale, dtype=dtype
+    )

@@ -1,11 +1,11 @@
 """Pure-numpy kernel tier: the bit-for-bit reference implementation.
 
-This module is the read-out / im2col code that used to live inline in
-:meth:`repro.circuits.timing.TimeDomainChainSpec.read_out` and
-:meth:`repro.engine.packed.PackedMatmul._analog_products`, extracted
-verbatim.  Every other tier (``c``, ``numba``) is tested bit-for-bit
-against these functions in float64 — when in doubt, this file defines
-what "correct" means.
+This module is the read-out / gather code that used to live inline in
+:meth:`repro.circuits.timing.TimeDomainChainSpec.read_out`,
+:meth:`repro.engine.packed.PackedMatmul._analog_products` and the
+executor's im2col → reshape → astype chain, extracted verbatim.  The
+compiled ``c`` tier is tested bit-for-bit against these functions in
+float64 — when in doubt, this file defines what "correct" means.
 
 Always available (numpy is the repo's only hard dependency), always last
 in the dispatch order, and the fallback target whenever a compiled tier
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.nn import functional as F
 
@@ -70,7 +71,31 @@ def slice_recombine(
 
 
 def im2col_pack(
-    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0
-) -> Tuple[np.ndarray, int, int]:
-    """Batched im2col; delegates to the historical numpy implementation."""
-    return F.im2col_batch(x, kernel, stride=stride, pad=pad)
+    codes: np.ndarray,
+    kernel: int,
+    stride: int = 1,
+    pad: int = 0,
+    *,
+    groups: int = 1,
+    scale: float = 1.0,
+    dtype: DTypeLike = np.float64,
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """Codes to crossbar operand: the historical engine composition.
+
+    ``F.im2col_batch`` on the codes, the ``(positions, rows)`` reshape
+    copy, the cast to ``dtype``, the in-place DTC scale and the int64
+    per-group row sum, op for op as ``NetworkExecutor`` and
+    ``PackedMatmul.matmul`` used to chain them.  Returns ``(operand,
+    code_sums, out_h, out_w)``: ``operand`` is ``(N*positions, rows)``
+    C-contiguous and ``code_sums`` ``(groups, N*positions)`` int64.
+    """
+    cols, out_h, out_w = F.im2col_batch(codes, kernel, stride=stride, pad=pad)
+    n, positions, rows = cols.shape
+    flat = cols.reshape(n * positions, rows)
+    # C order: the layout the historical ascontiguousarray handed the
+    # charge matmul (a one-image reshape is an F-ordered view)
+    operand = flat.astype(dtype, order="C")
+    operand *= operand.dtype.type(scale)
+    grouped = flat.reshape(n * positions, groups, rows // groups)
+    sums = grouped.sum(axis=2, dtype=np.int64).T.copy()
+    return operand, sums, out_h, out_w

@@ -1,5 +1,6 @@
 /*
- * Compiled hot-path kernels for the time-domain read-out chain and im2col.
+ * Compiled hot-path kernels: the time-domain read-out chain and the
+ * code-to-operand gather (im2col + DTC conversion + code row-sums).
  *
  * Bit-for-bit contract: every routine here must reproduce the numpy
  * reference in `repro.kernels.numpy_impl` exactly, element by element, in
@@ -37,8 +38,8 @@
  * `engine/packed.py`.
  */
 
+#include <stddef.h>
 #include <stdint.h>
-#include <string.h>
 
 #ifdef _MSC_VER
 #define API __declspec(dllexport)
@@ -48,7 +49,7 @@
 
 /* Bumped whenever a signature changes; the loader refuses mismatches so a
  * stale cached .so can never be called with the wrong ABI. */
-API int64_t repro_kernels_abi_version(void) { return 2; }
+API int64_t repro_kernels_abi_version(void) { return 3; }
 
 #define DEFINE_READOUT_FUSED(NAME, REAL)                                       \
 API void NAME(                                                                 \
@@ -146,54 +147,66 @@ API void NAME(                                                                 \
 DEFINE_SLICE_RECOMBINE(slice_recombine_f64, double)
 DEFINE_SLICE_RECOMBINE(slice_recombine_f32, float)
 
-/* im2col gather: x (N, CH, H, W) C-contiguous float64 -> cols
- * (N, CH*K*K, out_h*out_w) C-contiguous float64, zero-padded borders.
- * Byte-identical to the pad/as_strided/transpose/reshape pipeline in
- * nn/functional.py (pure data movement, no arithmetic). */
-API void im2col_f64(
-    const double *x, int64_t n, int64_t ch, int64_t h, int64_t w,
-    int64_t kernel, int64_t stride, int64_t pad,
-    int64_t out_h, int64_t out_w, double *cols)
-{
-    int64_t out_pos = out_h * out_w;
-    int64_t ckk = ch * kernel * kernel;
-    int64_t img, c, ki, kj, oh, ow;
-    for (img = 0; img < n; ++img)
-        for (c = 0; c < ch; ++c)
-            for (ki = 0; ki < kernel; ++ki)
-                for (kj = 0; kj < kernel; ++kj) {
-                    int64_t row_index = (c * kernel + ki) * kernel + kj;
-                    double *dst = cols + (img * ckk + row_index) * out_pos;
-                    for (oh = 0; oh < out_h; ++oh) {
-                        int64_t ih = oh * stride - pad + ki;
-                        double *drow = dst + oh * out_w;
-                        if (ih < 0 || ih >= h) {
-                            memset(drow, 0, (size_t)out_w * sizeof(double));
-                            continue;
-                        }
-                        const double *srow = x + ((img * ch + c) * h + ih) * w;
-                        if (stride == 1) {
-                            /* contiguous span with zeroed out-of-range edges */
-                            int64_t iw0 = -pad + kj;
-                            int64_t lo = iw0 < 0 ? -iw0 : 0;
-                            int64_t hi = iw0 + out_w > w ? w - iw0 : out_w;
-                            if (hi < lo) hi = lo;
-                            if (lo > 0) memset(drow, 0, (size_t)lo * sizeof(double));
-                            if (hi > lo)
-                                memcpy(drow + lo, srow + iw0 + lo,
-                                       (size_t)(hi - lo) * sizeof(double));
-                            if (hi < out_w)
-                                memset(drow + hi, 0,
-                                       (size_t)(out_w - hi) * sizeof(double));
-                        } else {
-                            for (ow = 0; ow < out_w; ++ow) {
-                                int64_t iw = ow * stride - pad + kj;
-                                drow[ow] = (iw < 0 || iw >= w) ? 0.0 : srow[iw];
-                            }
-                        }
-                    }
-                }
+/* The only-once input read (O2IR): quantised codes -> crossbar operand.
+ *
+ * codes (N, CH, H, W) int64 at any element strides (the previous layer's
+ * output arrives channels-last) is read once; every window element is
+ * converted once (DTC pulse = code * scale, in REAL) and written straight
+ * into the position-major operand
+ *   operand (N*out_h*out_w, CH*K*K)  C-contiguous, rows (c, ki, kj)-major
+ * with zero-padded borders, while the exact integer code sum of each
+ * weight-sharing group's rows accumulates into
+ *   sums    (groups, N*out_h*out_w)  C-contiguous int64.
+ * Byte-identical to the numpy reference (im2col, astype, *= scale, int64
+ * row sum): the cast and the single multiply round exactly as numpy's do.
+ * Callers guarantee ch % groups == 0. */
+#define DEFINE_IM2COL_GATHER(NAME, REAL)                                       \
+API void NAME(                                                                 \
+    const int64_t *codes, int64_t n, int64_t ch, int64_t h, int64_t w,         \
+    int64_t st_n, int64_t st_c, int64_t st_h, int64_t st_w,                    \
+    int64_t kernel, int64_t stride, int64_t pad,                               \
+    int64_t out_h, int64_t out_w, int64_t groups, double scale_d,              \
+    REAL *operand, int64_t *sums)                                              \
+{                                                                              \
+    REAL scale = (REAL)scale_d;                                                \
+    REAL zero = (REAL)0.0 * scale;                                             \
+    int64_t kk = kernel * kernel;                                              \
+    int64_t row_len = ch * kk;                                                 \
+    int64_t group_ch = ch / groups;                                            \
+    int64_t positions = n * out_h * out_w;                                     \
+    int64_t img, oh, ow, g, c, ki, kj;                                         \
+    for (img = 0; img < n; ++img)                                              \
+        for (oh = 0; oh < out_h; ++oh)                                         \
+            for (ow = 0; ow < out_w; ++ow) {                                   \
+                int64_t p = (img * out_h + oh) * out_w + ow;                   \
+                REAL *row = operand + p * row_len;                             \
+                for (g = 0; g < groups; ++g) {                                 \
+                    int64_t acc = 0;                                           \
+                    for (c = g * group_ch; c < (g + 1) * group_ch; ++c) {      \
+                        int64_t base = img * st_n + c * st_c;                  \
+                        REAL *dst = row + c * kk;                              \
+                        for (ki = 0; ki < kernel; ++ki) {                      \
+                            int64_t ih = oh * stride - pad + ki;               \
+                            for (kj = 0; kj < kernel; ++kj) {                  \
+                                int64_t iw = ow * stride - pad + kj;           \
+                                if (ih < 0 || ih >= h || iw < 0 || iw >= w) {  \
+                                    dst[ki * kernel + kj] = zero;              \
+                                } else {                                       \
+                                    int64_t v =                                \
+                                        codes[base + ih * st_h + iw * st_w];   \
+                                    acc += v;                                  \
+                                    dst[ki * kernel + kj] = (REAL)v * scale;   \
+                                }                                              \
+                            }                                                  \
+                        }                                                      \
+                    }                                                          \
+                    sums[g * positions + p] = acc;                             \
+                }                                                              \
+            }                                                                  \
 }
+
+DEFINE_IM2COL_GATHER(im2col_gather_f64, double)
+DEFINE_IM2COL_GATHER(im2col_gather_f32, float)
 
 #ifdef REPRO_BUILD_PYMODULE
 /* Optional CPython module shell so `pip install .` can build this file as
@@ -202,7 +215,7 @@ API void im2col_f64(
 #include <Python.h>
 static struct PyModuleDef repro_kernels_moduledef = {
     PyModuleDef_HEAD_INIT, "_native",
-    "Compiled read-out/im2col kernels (accessed via ctypes, not Python).",
+    "Compiled read-out/gather kernels (accessed via ctypes, not Python).",
     -1, NULL,
 };
 PyMODINIT_FUNC PyInit__native(void) {

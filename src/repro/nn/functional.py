@@ -65,17 +65,15 @@ def im2col_batch(
     so the batched engine path sees the same codes as ``N`` single-image
     calls while gathering all patches in one strided copy.
 
-    This is the numpy reference implementation behind
-    ``repro.kernels.dispatch.im2col_pack`` — the engine's conv path goes
-    through the dispatcher (which may serve a compiled tier reproducing
-    these bytes *and* strides), while this function stays the always-
-    available ground truth the tiers are tested against.
+    This is the first step of the numpy reference tier behind
+    ``repro.kernels.dispatch.im2col_pack`` (the packed engine's gather,
+    which also converts and sums the codes), and the tiled backend's
+    im2col.
 
     The copy is gathered in ``(C*k*k, position)`` order — for unit stride
     the innermost axis is then a contiguous image row, so it runs at memcpy
     speed — and returned as the ``(position, C*k*k)`` transpose, which is
-    F-contiguous per image and consumed directly by BLAS in the following
-    matmul.
+    F-contiguous per image.
     """
     n, channels, height, width = x.shape
     padded = (

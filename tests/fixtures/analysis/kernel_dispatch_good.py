@@ -7,6 +7,6 @@ from repro.kernels.dispatch import ReadoutScalars, slice_recombine
 
 def run(charges, delay_sums, scalars: ReadoutScalars):
     out = readout_fused(charges, delay_sums, scalars)
-    cols, _, _ = im2col_pack(charges[0, 0], 3, stride=1, pad=1)
+    operand, _, _, _ = im2col_pack(charges[0, 0], 3, stride=1, pad=1)
     assert dispatch.slice_recombine is slice_recombine
-    return out, cols
+    return out, operand

@@ -22,6 +22,11 @@ from repro.engine.packed import _EXACT_FLOAT_BOUNDS, _worst_product_sum, pack_we
 RNG = np.random.default_rng(17)
 
 
+def _packed_run(packed: PackedMatmul, codes: np.ndarray) -> np.ndarray:
+    """A code matrix through the layer's own gather, then its matmul."""
+    return packed.matmul(*packed.gather(codes))
+
+
 def _codes_and_weights(arch: ArchSpec, rows: int, cols: int, positions: int = 5):
     qmax = 2 ** (arch.weight_bits - 1) - 1
     q = RNG.integers(-qmax, qmax + 1, size=(rows, cols))
@@ -75,9 +80,9 @@ def test_packed_float32_tracks_float64_within_1e4(weight_bits, cell_bits, mode):
     """
     arch = ArchSpec(rows=16, cols=16, weight_bits=weight_bits, cell_bits=cell_bits)
     q, codes = _codes_and_weights(arch, 40, 21)
-    ref = PackedMatmul(q, SimContext(arch=arch), mode).matmul(codes)
+    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch), mode), codes)
     packed32 = PackedMatmul(q, SimContext(arch=arch, compute_dtype="float32"), mode)
-    out = packed32.matmul(codes)
+    out = _packed_run(packed32, codes)
     assert out.dtype == np.float64
     assert relative_error(out, ref) <= 1e-4
 
@@ -87,10 +92,10 @@ def test_packed_float32_grouped_tracks_float64():
     qmax = 2 ** (arch.weight_bits - 1) - 1
     q = RNG.integers(-qmax, qmax + 1, size=(3, 20, 7))  # 3 groups
     codes = RNG.integers(0, 2 ** arch.input_bits, size=(4, 3 * 20))
-    ref = PackedMatmul(q, SimContext(arch=arch), "analog").matmul(codes)
-    out = PackedMatmul(
-        q, SimContext(arch=arch, compute_dtype="float32"), "analog"
-    ).matmul(codes)
+    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch), "analog"), codes)
+    out = _packed_run(
+        PackedMatmul(q, SimContext(arch=arch, compute_dtype="float32"), "analog"), codes
+    )
     assert relative_error(out, ref) <= 1e-4
 
 
@@ -107,7 +112,7 @@ def test_ideal_float32_is_exact_below_the_mantissa_bound():
     assert small.compute_dtype == np.float32
     ref = PackedMatmul(q, SimContext(), "ideal")
     assert ref.compute_dtype == np.float64
-    assert np.array_equal(small.matmul(codes), ref.matmul(codes))
+    assert np.array_equal(_packed_run(small, codes), _packed_run(ref, codes))
 
 
 def test_ideal_float32_falls_back_to_float64_above_the_bound():
@@ -120,7 +125,7 @@ def test_ideal_float32_falls_back_to_float64_above_the_bound():
     big = PackedMatmul(q, SimContext(compute_dtype="float32"), "ideal")
     assert big.compute_dtype == np.float64
     ref = PackedMatmul(q, SimContext(), "ideal")
-    assert np.array_equal(big.matmul(codes), ref.matmul(codes))
+    assert np.array_equal(_packed_run(big, codes), _packed_run(ref, codes))
 
 
 def test_network_fallback_is_per_layer():
@@ -185,10 +190,10 @@ def test_chunked_readout_matches_unchunked_within_1e12():
     0.0 on cnn_1 at 64 KB chunks)."""
     arch = ArchSpec(rows=32, cols=32)
     q, codes = _codes_and_weights(arch, 70, 40, positions=50)
-    ref = PackedMatmul(q, SimContext(arch=arch), "analog").matmul(codes)
-    chunked = PackedMatmul(
-        q, SimContext(arch=arch, chunk_bytes=4096), "analog"
-    ).matmul(codes)
+    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch), "analog"), codes)
+    chunked = _packed_run(
+        PackedMatmul(q, SimContext(arch=arch, chunk_bytes=4096), "analog"), codes
+    )
     assert relative_error(chunked, ref) <= 1e-12
 
 
@@ -198,12 +203,15 @@ def test_chunking_does_not_change_noisy_results():
     arch = ArchSpec(rows=32, cols=32)
     q, codes = _codes_and_weights(arch, 70, 40, positions=50)
     noise = HardwareNoiseConfig.scaled(1.0, seed=3)
-    whole = PackedMatmul(
-        q, SimContext(arch=arch, noise=noise), "analog", salt=4
-    ).matmul(codes)
-    chunked = PackedMatmul(
-        q, SimContext(arch=arch, noise=noise, chunk_bytes=4096), "analog", salt=4
-    ).matmul(codes)
+    whole = _packed_run(
+        PackedMatmul(q, SimContext(arch=arch, noise=noise), "analog", salt=4), codes
+    )
+    chunked = _packed_run(
+        PackedMatmul(
+            q, SimContext(arch=arch, noise=noise, chunk_bytes=4096), "analog", salt=4
+        ),
+        codes,
+    )
     assert relative_error(chunked, whole) <= 1e-12
 
 

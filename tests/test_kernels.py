@@ -18,7 +18,7 @@ from repro.circuits.noise import stable_seed
 from repro.circuits.timing import TimeDomainChainSpec
 from repro.context import SimContext
 from repro.engine import NetworkExecutor
-from repro.kernels import dispatch
+from repro.kernels import c_impl, dispatch, numpy_impl
 from repro.kernels.dispatch import (
     KERNEL_TIERS,
     KernelError,
@@ -29,7 +29,11 @@ from repro.kernels.dispatch import (
     resolve,
     slice_recombine,
 )
+from repro.nn import functional as F
+from repro.nn.layers import TensorShape
 from repro.nn.models import build_model
+from repro.nn.network import NetworkBuilder
+from repro.nn.quantization import quantize_unsigned_batch
 
 TIERS = available()
 COMPILED = [name for name in TIERS if name != "numpy"]
@@ -171,7 +175,22 @@ def test_tier_matches_numpy_f32(tier, saturation):
     np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-4)
 
 
-# -- im2col: bytes and strides ------------------------------------------------
+# -- the code gather: bytes and strides --------------------------------------
+
+
+def _codes(shape, seed, channels_last=False):
+    rng = np.random.default_rng(stable_seed("kernels", "gather", *seed))
+    if not channels_last:
+        return rng.integers(0, 256, size=shape)
+    n, c, h, w = shape
+    return rng.integers(0, 256, size=(n, h, w, c)).transpose(0, 3, 1, 2)
+
+
+def _assert_same_gather(got, ref):
+    for a, b in zip(got[:2], ref[:2]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+        assert a.tobytes() == b.tobytes()
+    assert got[2:] == ref[2:]
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -185,20 +204,154 @@ def test_tier_matches_numpy_f32(tier, saturation):
     ],
 )
 def test_im2col_matches_numpy(tier, shape, kernel, stride, pad):
-    rng = np.random.default_rng(stable_seed("kernels", "im2col", kernel, stride))
-    x = rng.normal(size=shape)
-    ref, rh, rw = im2col_pack(x, kernel, stride=stride, pad=pad, kernel="numpy")
-    got, gh, gw = im2col_pack(x, kernel, stride=stride, pad=pad, kernel=tier)
-    assert (gh, gw) == (rh, rw)
-    assert got.shape == ref.shape and got.strides == ref.strides
-    np.testing.assert_array_equal(got, ref)
+    for channels_last in (False, True):
+        codes = _codes(shape, (kernel, stride), channels_last)
+        for dtype in (np.float64, np.float32):
+            args = dict(scale=5e-11, dtype=dtype)
+            ref = im2col_pack(codes, kernel, stride, pad, **args, kernel="numpy")
+            got = im2col_pack(codes, kernel, stride, pad, **args, kernel=tier)
+            _assert_same_gather(got, ref)
+            # the operand is the historical im2col matrix, DTC-scaled
+            cols, out_h, out_w = F.im2col_batch(codes, kernel, stride, pad)
+            assert got[2:] == (out_h, out_w)
+            flat = cols.reshape(-1, cols.shape[2])
+            np.testing.assert_array_equal(
+                got[0], flat.astype(dtype) * np.dtype(dtype).type(5e-11)
+            )
+            np.testing.assert_array_equal(got[1], flat.sum(axis=1)[None])
 
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_im2col_empty_output_raises_on_every_tier(tier):
-    x = np.zeros((1, 1, 2, 2))
+    codes = np.zeros((1, 1, 2, 2), dtype=np.int64)
     with pytest.raises(ValueError, match="empty output"):
-        im2col_pack(x, 5, stride=1, pad=0, kernel=tier)
+        im2col_pack(codes, 5, stride=1, pad=0, kernel=tier)
+
+
+@pytest.mark.skipif("c" not in TIERS, reason="compiled tier not buildable here")
+def test_engine_conv_reaches_the_compiled_gather(monkeypatch):
+    """A resnet-style conv stack on ``kernel="c"`` never falls back to numpy.
+
+    Guards the bug class where the compiled gather silently rejected the
+    engine's int64 codes (it accepted only float64) and every conv layer
+    took the numpy path while the float64 tier tests stayed green.
+    """
+    lib = c_impl.load()
+    calls = []
+    real = lib.im2col_gather_f64
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("numpy gather fallback on the c tier")
+
+    monkeypatch.setattr(lib, "im2col_gather_f64", spy)
+    monkeypatch.setattr(numpy_impl, "im2col_pack", no_fallback)
+    network = build_model("resnet_smoke")
+    executor = NetworkExecutor(network, SimContext(kernel="c"))
+    executor.run(executor.random_batch(2), validate=False)
+    assert len(calls) == len(network.compute_instances)
+
+
+# -- the gather in the engine: byte-identical to the historical chain ---------
+
+
+def _historical_matmul(packed, codes):
+    """The pre-gather ``PackedMatmul.matmul(codes)``: int64 codes, grouped
+    transpose copy, astype + ``*= t_del``, int64 row sums, transpose back."""
+    codes = np.asarray(codes, dtype=np.int64)
+    positions = codes.shape[0]
+    grouped = codes.reshape(positions, packed.n_groups, packed.rows_needed)
+    grouped = np.ascontiguousarray(grouped.transpose(1, 0, 2))
+    if packed.mode == "ideal":
+        if packed._ideal_exact:
+            products = (grouped.astype(packed._encoded.dtype) @ packed._encoded).astype(
+                np.float64, copy=False
+            )
+        else:
+            products = (
+                grouped @ packed._encoded.astype(np.int64, order="K")
+            ).astype(np.float64)
+    else:
+        spec, noise, dtype = packed.spec, packed._read_noise, packed.compute_dtype
+        if noise is not None and noise.dtc_sigma > 0:
+            delays = spec.dtc.convert(grouped, noise).astype(dtype, copy=False)
+        else:
+            delays = grouped.astype(dtype)
+            delays *= dtype.type(spec.dtc.t_del_s)
+        products = packed._analog_products(delays, positions)
+    correction = packed.offset * grouped.sum(axis=2, dtype=np.int64)
+    np.subtract(products, correction[:, :, None], out=products)
+    return np.ascontiguousarray(products.transpose(1, 0, 2)).reshape(
+        positions, packed.out_cols
+    )
+
+
+def _historical_forward(self, acts, input_bits):
+    """The pre-gather ``_MappedComputeLayer.forward``: quantise →
+    ``F.im2col_batch`` → reshape copy → :func:`_historical_matmul`."""
+    values, in_scales = quantize_unsigned_batch(acts, input_bits)
+    n = values.shape[0]
+    if self.kind == "fc":
+        out = _historical_matmul(self._packed, values.reshape(n, -1))
+        np.multiply(out, self.w_scales[None, :] * in_scales[:, None], out=out)
+        if self.bias is not None:
+            np.add(out, self.bias, out=out)
+        return out
+    cols, out_h, out_w = F.im2col_batch(values, self.kernel, self.stride, self.pad)
+    positions = cols.shape[1]
+    out = _historical_matmul(self._packed, cols.reshape(n * positions, -1))
+    out = out.reshape(n, positions, self.out_channels)
+    np.multiply(out, self.w_scales[None, None, :] * in_scales[:, None, None], out=out)
+    if self.bias is not None:
+        np.add(out, self.bias, out=out)
+    return out.transpose(0, 2, 1).reshape(n, self.out_channels, out_h, out_w)
+
+
+def _grouped_net():
+    """A grouped conv (2 groups) between an ungrouped conv and an FC."""
+    builder = NetworkBuilder("grouped_gather", TensorShape(4, 9, 9))
+    builder.conv(8, 3, padding=1, name="conv1").relu()
+    builder.conv(12, 3, padding=1, groups=2, name="conv2").relu()
+    builder.fc(5, name="fc")
+    return builder.build()
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize(
+    "mode,dtype,noisy",
+    [
+        ("analog", "float64", False),
+        ("analog", "float64", True),
+        ("analog", "float32", False),
+        ("analog", "float32", True),
+        ("ideal", "float64", False),
+        ("ideal", "float32", False),
+    ],
+)
+@pytest.mark.parametrize("model", ["grouped", "resnet_smoke"])
+def test_engine_gather_is_byte_identical_to_the_historical_chain(
+    monkeypatch, tier, mode, dtype, noisy, model
+):
+    from repro.circuits.noise import HardwareNoiseConfig
+    from repro.engine.executor import _MappedComputeLayer
+
+    network = _grouped_net() if model == "grouped" else build_model(model)
+    noise = HardwareNoiseConfig.scaled(1.0, seed=11) if noisy else None
+    ctx = SimContext(noise=noise, compute_dtype=dtype, kernel=tier, seed=3)
+    state = NetworkExecutor(network, ctx, mode).state
+    shape = network.input_shape
+    x = np.random.default_rng(stable_seed("kernels", "oracle")).uniform(
+        0.0, 1.0, size=(2, shape.channels, shape.height, shape.width)
+    )
+    got = NetworkExecutor(network, ctx, mode, state=state).run(x, validate=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(_MappedComputeLayer, "forward", _historical_forward)
+        ref = NetworkExecutor(network, ctx, mode, state=state).run(x, validate=False)
+    assert got.output.strides == ref.output.strides
+    assert got.output.tobytes() == ref.output.tobytes()
 
 
 # -- the spec facade ----------------------------------------------------------
@@ -246,20 +399,24 @@ def test_env_unknown_tier_raises(monkeypatch):
         resolve(None)
 
 
-def test_unavailable_tier_degrades_with_one_warning():
-    if "numba" in TIERS:
-        pytest.skip("numba installed here; no unavailable tier to exercise")
+def test_unavailable_tier_degrades_with_one_warning(monkeypatch):
+    """The compiled tier failing to build falls back to numpy, warning once."""
+
+    def no_compiler():
+        raise c_impl.KernelBuildError("no C compiler found")
+
+    monkeypatch.setattr(c_impl, "load", no_compiler)
     dispatch.reset()
     try:
         with pytest.warns(RuntimeWarning, match="falling back"):
-            name, _ = resolve("numba")
-        assert name in TIERS and name != "numba"
-        assert "numba" in dispatch.unavailable_reasons()
+            name, _ = resolve("c")
+        assert name == "numpy"
+        assert "c" in dispatch.unavailable_reasons()
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # second request: no re-warn
-            assert resolve("numba")[0] == name
+            assert resolve("c")[0] == name
     finally:
         dispatch.reset()
 

@@ -57,7 +57,7 @@ def test_packed_matches_tiled_across_cell_splits(weight_bits, cell_bits, mode):
     tiled = TiledMatmul(q, ctx, mode)
     packed = PackedMatmul(q, ctx, mode)
     assert packed.crossbars == tiled.crossbars
-    a, b = tiled.matmul(codes), packed.matmul(codes)
+    a, b = tiled.matmul(codes), packed.matmul(*packed.gather(codes))
     assert relative_error(b, a) <= 1e-9
     # and both recover the exact integer product noiselessly
     assert relative_error(b, codes @ q) <= 1e-9
@@ -80,7 +80,7 @@ def test_packed_grouped_matches_per_group_tiled():
         axis=1,
     )
     assert packed.crossbars == groups * TiledMatmul(q[0], ctx, "analog").crossbars
-    assert relative_error(packed.matmul(codes), reference) <= 1e-9
+    assert relative_error(packed.matmul(*packed.gather(codes)), reference) <= 1e-9
 
 
 def test_packed_rejects_bad_weights_and_codes():
@@ -91,9 +91,9 @@ def test_packed_rejects_bad_weights_and_codes():
         PackedMatmul(np.zeros((2, 2, 2, 2), dtype=int), ctx)  # 4-D
     packed = PackedMatmul(np.zeros((4, 4), dtype=int), ctx)
     with pytest.raises(EngineError):
-        packed.matmul(np.full((2, 4), 256))  # > 8-bit input code
+        packed.gather(np.full((2, 4), 256))  # > 8-bit input code
     with pytest.raises(EngineError):
-        packed.matmul(np.zeros((2, 5), dtype=int))  # wrong row count
+        packed.gather(np.zeros((2, 5), dtype=int))  # wrong row count
 
 
 def test_packed_stores_true_size_not_padded_tiles():
