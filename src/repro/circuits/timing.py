@@ -29,7 +29,7 @@ matrix; the batched path runs one matmul per crossbar.
 :class:`TimeDomainChainSpec` factors the chain's scalar parameters (full
 scale charge, capacitor sizing, phase-II current, LSB) out of the per-tile
 objects: within one layer every tile's chain shares them, so the packed
-execution backend (:class:`repro.engine.packed.PackedMatmul`) can run the
+engine (:class:`repro.engine.packed.PackedMatmul`) can run the
 whole elementwise phase-I/II read-out as one vectorized pass over every
 tile, slice and output position at once via :meth:`TimeDomainChainSpec.read_out`.
 """
@@ -59,7 +59,7 @@ class TimeDomainChainSpec:
     capacitor sized for it, the phase-II constant current and the output
     LSB.  They depend only on the cell physics, the converter resolution and
     the (full) tile height, so within one mapped layer every tile's chain
-    shares the same spec.  That is what lets the packed execution backend
+    shares the same spec.  That is what lets the packed engine
     apply the whole elementwise chain — offset subtraction, clip, phase-I
     integration, phase-II threshold crossing, LSB rescale — in one
     vectorized :meth:`read_out` pass over a stacked charge tensor covering
@@ -145,7 +145,7 @@ class TimeDomainChainSpec:
         allocation regardless of how many tiles the stack covers); the
         inputs are left untouched unless ``out`` aliases ``charges`` —
         pass ``out=charges`` to run the whole chain fully in place with
-        zero allocations, which is how the packed backend's chunked
+        zero allocations, which is how the packed engine's chunked
         read-out keeps its working set bounded by one chunk.
 
         The arithmetic itself lives behind :mod:`repro.kernels.dispatch`
@@ -198,7 +198,7 @@ class TimeDomainDotProduct:
 
         # The scalar chain parameters (full-scale charge, capacitor sizing,
         # phase-II current, LSB) live in the shared spec so the packed
-        # backend prices exactly the same chain.
+        # engine prices exactly the same chain.
         self.spec = TimeDomainChainSpec(
             cell=crossbar.cell,
             dtc=self.dtc,
@@ -214,11 +214,6 @@ class TimeDomainDotProduct:
             area_um2=base.area_um2,
         )
         self.phase2_current_a = self.spec.phase2_current_a
-        #: optional early read-out saturation (see repro.faults): when set,
-        #: dot-product estimates clip at this fraction of :attr:`dot_max`
-        #: instead of the chain's own full-scale ceiling.  ``None`` (the
-        #: default) keeps the historical unclipped behaviour.
-        self.clip_fraction: Optional[float] = None
 
     @property
     def dot_max(self) -> float:
@@ -258,10 +253,7 @@ class TimeDomainDotProduct:
         """Dot-product estimate in integer (input-level x weight-level) units."""
         times = self.output_times(codes, noise)
         lsb_s = self.dtc.full_scale_s / self.dot_max
-        estimates = times / lsb_s
-        if self.clip_fraction is not None:
-            estimates = np.minimum(estimates, self.clip_fraction * self.dot_max)
-        return estimates
+        return times / lsb_s
 
 
 class SubRangingDotProduct:
@@ -304,16 +296,12 @@ class SubRangingDotProduct:
         self.lsb_chain = TimeDomainDotProduct(self.lsb_crossbar, dtc=dtc, v_dd=v_dd)
 
     @classmethod
-    def from_context(
-        cls, ctx: "SimContext", weights: np.ndarray, noise=None
-    ) -> "SubRangingDotProduct":
+    def from_context(cls, ctx: "SimContext", weights: np.ndarray) -> "SubRangingDotProduct":
         """Build the MSB/LSB pair from a :class:`repro.context.SimContext`.
 
         The cell, converter and supply parameters all come from ``ctx.arch``
-        and the programming noise from ``noise`` (the caller's scoped
-        :class:`~repro.circuits.noise.NoiseStream`, defaulting to
-        ``ctx.noise``), so the functional engine and the analytics price
-        exactly the same hardware.  The crossbar pair is sized at the weight
+        and the programming noise from ``ctx.noise``, so the functional
+        engine and the analytics price exactly the same hardware.  The crossbar pair is sized at the weight
         block's true height (a partial row tile occupies only the rows it
         needs), so input codes can be sliced instead of zero-padded to the
         full tile height.
@@ -324,7 +312,7 @@ class SubRangingDotProduct:
             rows=ctx.arch.tile_height(weights.shape[0]),
             cols=ctx.arch.cols,
             cell=ctx.arch.cell_spec(),
-            noise=ctx.noise if noise is None else noise,
+            noise=ctx.noise,
             dtc=ctx.arch.dtc(),
             v_dd=ctx.arch.v_dd,
         )

@@ -1,8 +1,8 @@
 """Packed vectorized tile execution: one matmul per layer-slice.
 
-:class:`PackedMatmul` is the performance backend behind
-:class:`repro.engine.executor.NetworkExecutor` (``backend="packed"``, the
-default).  It computes exactly what :class:`repro.engine.tiles.TiledMatmul`
+:class:`PackedMatmul` is the engine path behind
+:class:`repro.engine.executor.NetworkExecutor`.  It computes exactly what
+the per-crossbar test oracle :class:`repro.engine.tiles.TiledMatmul`
 computes — the integer matmul of input codes against offset-encoded,
 bit-sliced weights, read out through the two-phase time-domain chains — but
 stores and executes the layer as a whole instead of as a grid of crossbar
@@ -35,13 +35,9 @@ objects:
   position and output column at once.  The sub-ranging MSB/LSB pair of
   Section IV-C is simply the 2-slice case of this recombination.
 
-Noiseless, the packed path matches the tiled path to float tolerance (both
-recover the exact integer matmul through the same chain algebra).  With
-noise enabled the two backends sample the *same* error models but draw in
-different shapes/orders — the tiled path draws per 256x256 crossbar and per
-tile read-out, the packed path draws once per slice tensor and once per
-layer of delays — so results are statistically equivalent but not
-bit-identical across backends.  Within one backend, runs are exactly
+Noiseless, the packed path matches the tiled oracle to float tolerance
+(both recover the exact integer matmul through the same chain algebra); the
+oracle runs noiseless and fault-free only.  Noisy runs are exactly
 reproducible from the noise seed: every draw comes from a
 :class:`repro.circuits.noise.NoiseStream` derived from ``(seed, layer
 salt)``, so results are independent of how many other executors were
@@ -60,8 +56,10 @@ import numpy as np
 from repro.circuits.timing import TimeDomainChainSpec
 from repro.context import ArchSpec, SimContext
 from repro.engine.errors import EngineError
-from repro.engine.tiles import MODES
 from repro.kernels.dispatch import im2col_pack, readout_fused
+
+#: engine read-out modes: the time-domain chains or the exact integer product
+MODES = ("analog", "ideal")
 
 #: float64 integer matmuls are exact below this product-sum magnitude
 _EXACT_FLOAT_BOUND = float(2 ** 53)
@@ -405,11 +403,6 @@ class PackedMatmul:
         if self._encoded is not None:
             return self._encoded.nbytes
         return sum(g.nbytes for g in self._conductances)
-
-    @property
-    def programmed_bytes(self) -> int:
-        """Backend-uniform alias of :attr:`packed_bytes` (cf. ``TiledMatmul``)."""
-        return self.packed_bytes
 
     def gather(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The :meth:`matmul` operands of a ``(positions, rows)`` code matrix.

@@ -1,10 +1,10 @@
-"""Tile-level crossbar execution of one integer matrix multiplication.
+"""Tile-level crossbar execution: the noiseless per-crossbar test oracle.
 
 :class:`TiledMatmul` is the functional counterpart of
 :class:`repro.mapping.crossbar_mapping.LayerMapping`: where the mapping
 *counts* the ``rows x cols`` tiles a weight matrix occupies, this class
-actually *programs* them and pushes input codes through, reproducing the
-paper's execution scheme end to end:
+actually *programs* one crossbar object per tile and pushes input codes
+through, reproducing the paper's execution scheme tile by tile:
 
 * signed quantised weights are offset-encoded (``u = q + 2**(bits-1)``) so
   the unsigned conductance levels of the cells can represent them; the
@@ -23,42 +23,36 @@ paper's execution scheme end to end:
   positions of a layer go through a tile as one ``(positions, rows)``
   matrix, and the tile partial sums are recombined across row tiles.
 
-Two execution modes are supported: ``"analog"`` runs the full two-phase
-time-domain chain (optionally with noise injection), ``"ideal"`` reads the
-same programmed tiles through the exact integer dot product — useful to
-separate mapping/recombination errors from analog-chain errors.
+The engine itself runs :class:`repro.engine.packed.PackedMatmul`, which
+computes the same read-out on per-slice tensors and is an order of
+magnitude faster.  This module is the independent oracle the differential
+tests and the bench compare it against, so it stays deliberately plain: it
+runs noiseless and fault-free only (a context carrying either is rejected
+with :class:`~repro.engine.errors.EngineError`) and always computes in
+float64.  :func:`tiled_forward` runs a whole network through it.
+
+Two read-out modes are supported: ``"analog"`` runs the full two-phase
+time-domain chain, ``"ideal"`` reads the same programmed tiles through the
+exact integer dot product.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.timing import SubRangingDotProduct, TimeDomainDotProduct
 from repro.context import SimContext
 from repro.engine.errors import EngineError
-
-MODES = ("analog", "ideal")
-
-
-def _tile_crossbars(tile) -> list:
-    """A tile's physical crossbars in ascending-slice (LSB-first) order."""
-    if isinstance(tile, _SingleCellTile):
-        return [tile.crossbar]
-    if isinstance(tile, SubRangingDotProduct):
-        return [tile.lsb_crossbar, tile.msb_crossbar]
-    return [s.crossbar for s in tile.slices]
-
-
-def _tile_chains(tile) -> list:
-    """A tile's time-domain chains, parallel to :func:`_tile_crossbars`."""
-    if isinstance(tile, _SingleCellTile):
-        return [tile.chain]
-    if isinstance(tile, SubRangingDotProduct):
-        return [tile.lsb_chain, tile.msb_chain]
-    return [s.chain for s in tile.slices]
+from repro.engine.packed import MODES
+from repro.engine.params import NetworkParams
+from repro.engine.reference import apply_aux_batched, conv_padding, validate_supported
+from repro.nn import functional as F
+from repro.nn.layers import Conv2D
+from repro.nn.network import NETWORK_INPUT, Network
+from repro.nn.quantization import quantize_symmetric_per_channel, quantize_unsigned_batch
 
 
 class _SingleCellTile:
@@ -69,23 +63,17 @@ class _SingleCellTile:
     slice the input codes at that height instead of zero-padding every
     ``(positions, arch.rows)`` block per call.  The time-domain chain
     rescales with the row count, so the read-out stays exact.
-
-    ``noise`` is the tile's *programming* noise scope (a
-    :class:`repro.circuits.noise.NoiseStream` derived per tile, or ``None``);
-    read-out noise arrives per :meth:`compute` call.
     """
 
-    def __init__(self, weights: np.ndarray, ctx: SimContext, noise=None):
-        self.crossbar = ctx.arch.make_crossbar(
-            noise, rows=np.asarray(weights).shape[0]
-        )
+    def __init__(self, weights: np.ndarray, ctx: SimContext):
+        self.crossbar = ctx.arch.make_crossbar(rows=np.asarray(weights).shape[0])
         self.crossbar.program(weights)
         self.chain = TimeDomainDotProduct(
             self.crossbar, dtc=ctx.arch.dtc(), v_dd=ctx.arch.v_dd
         )
 
-    def compute(self, codes: np.ndarray, noise) -> np.ndarray:
-        return self.chain.compute(codes, noise)
+    def compute(self, codes: np.ndarray) -> np.ndarray:
+        return self.chain.compute(codes)
 
     def ideal(self, codes: np.ndarray) -> np.ndarray:
         return self.crossbar.ideal_dot_product(codes)
@@ -105,20 +93,18 @@ class _SlicedTile:
     products recombine digitally as ``sum_s partial_s * 2**(s*cell_bits)``.
     """
 
-    def __init__(self, weights: np.ndarray, ctx: SimContext, n_slices: int, noise=None):
+    def __init__(self, weights: np.ndarray, ctx: SimContext, n_slices: int):
         cell_bits = ctx.arch.cell_bits
         mask = 2 ** cell_bits - 1
         self.shifts = [2 ** (cell_bits * s) for s in range(n_slices)]
-        # the slices share one programming stream: construction order inside a
-        # tile is fixed, so the sequential draws stay reproducible per tile
         self.slices = [
-            _SingleCellTile((weights >> (cell_bits * s)) & mask, ctx, noise)
+            _SingleCellTile((weights >> (cell_bits * s)) & mask, ctx)
             for s in range(n_slices)
         ]
 
-    def compute(self, codes: np.ndarray, noise) -> np.ndarray:
+    def compute(self, codes: np.ndarray) -> np.ndarray:
         return sum(
-            tile.compute(codes, noise) * shift
+            tile.compute(codes) * shift
             for tile, shift in zip(self.slices, self.shifts)
         )
 
@@ -143,27 +129,21 @@ class TiledMatmul:
         im2col layout (one row per input-vector element, one column per
         output channel), quantised to ``ctx.arch.weight_bits`` bits.
     ctx:
-        The simulation context supplying geometry, cell/converter specs and
-        the (optional) noise model.
+        The simulation context supplying geometry and cell/converter specs.
+        It must carry neither a noise nor a fault model: the oracle is
+        noiseless by design.
     mode:
         ``"analog"`` (time-domain chains) or ``"ideal"`` (exact read-out).
-    salt:
-        Identifies this matmul's noise scope (e.g. ``(layer_index, group)``
-        from the executor).  Every tile derives its programming and read-out
-        noise streams from ``(ctx.noise.seed, salt, tile coordinates)``, so
-        noisy results are independent of how many other objects consumed
-        noise before this one was built.
     """
 
-    def __init__(
-        self,
-        q_weights: np.ndarray,
-        ctx: SimContext,
-        mode: str = "analog",
-        salt: Union[int, tuple] = 0,
-    ):
+    def __init__(self, q_weights: np.ndarray, ctx: SimContext, mode: str = "analog"):
         if mode not in MODES:
             raise EngineError(f"unknown engine mode {mode!r}; choose from: {MODES}")
+        if ctx.noise is not None or ctx.faults is not None:
+            raise EngineError(
+                "the tiled oracle runs noiseless and fault-free only; "
+                "drop the context's noise and fault models"
+            )
         arch = ctx.arch
         q = np.asarray(q_weights, dtype=np.int64)
         if q.ndim != 2:
@@ -191,89 +171,30 @@ class TiledMatmul:
                 f"bit-cell columns per weight)"
             )
         self.col_tiles = math.ceil(self.out_cols / weights_per_tile)
-
-        salt_parts = salt if isinstance(salt, tuple) else (salt,)
-        noise = ctx.noise
-
-        def tile_stream(kind: str, rt: int, ct: int):
-            if noise is None:
-                return None
-            return noise.stream("tiled", *salt_parts, kind, rt, ct)
-
+        self._col_widths = [
+            min(weights_per_tile, self.out_cols - ct * weights_per_tile)
+            for ct in range(self.col_tiles)
+        ]
         self._tiles: List[List[Union[_SingleCellTile, _SlicedTile, SubRangingDotProduct]]] = []
-        #: per-tile read-out noise scopes, parallel to ``_tiles``
-        self._read_noise: List[List[Optional["object"]]] = []
-        self._col_widths: List[int] = []
-        for ct in range(self.col_tiles):
-            c0 = ct * weights_per_tile
-            width = min(weights_per_tile, self.out_cols - c0)
-            self._col_widths.append(width)
         for rt in range(self.row_tiles):
             r0 = rt * arch.rows
             height = min(arch.rows, self.rows_needed - r0)
             row: List[Union[_SingleCellTile, _SlicedTile, SubRangingDotProduct]] = []
-            read_row: List[Optional["object"]] = []
-            for ct in range(self.col_tiles):
+            for ct, width in enumerate(self._col_widths):
                 c0 = ct * weights_per_tile
-                block = encoded[r0 : r0 + height, c0 : c0 + self._col_widths[ct]]
-                program = tile_stream("program", rt, ct)
+                block = encoded[r0 : r0 + height, c0 : c0 + width]
                 if arch.cols_per_weight == 1:
-                    row.append(_SingleCellTile(block, ctx, program))
+                    row.append(_SingleCellTile(block, ctx))
                 elif arch.cols_per_weight == 2:
-                    row.append(SubRangingDotProduct.from_context(ctx, block, noise=program))
+                    row.append(SubRangingDotProduct.from_context(ctx, block))
                 else:
-                    row.append(_SlicedTile(block, ctx, arch.cols_per_weight, program))
-                read_row.append(tile_stream("read", rt, ct))
+                    row.append(_SlicedTile(block, ctx, arch.cols_per_weight))
             self._tiles.append(row)
-            self._read_noise.append(read_row)
-
-        # hard faults (stuck cells / drift / saturation): applied to the
-        # per-tile conductance arrays after programming variation, with a
-        # per-(tile, salt) stateless mask so results are construction-order
-        # free — the tiled analogue of the packed backend's wiring-time hook
-        faults = ctx.faults
-        self.fault_report = None
-        if mode == "analog" and faults is not None and faults.active:
-            if faults.cell_active:
-                from repro.faults import FaultReport, apply_tile_faults
-
-                cell = arch.cell_spec()
-                report = FaultReport()
-                for rt, row in enumerate(self._tiles):
-                    for ct, tile in enumerate(row):
-                        views = [xb._conductances for xb in _tile_crossbars(tile)]
-                        report.merge(
-                            apply_tile_faults(
-                                views,
-                                cell,
-                                faults,
-                                arch.spare_rows,
-                                ("tiled", *salt_parts, "fault", rt, ct),
-                            )
-                        )
-                self.fault_report = report
-            if faults.readout_saturation is not None:
-                for row in self._tiles:
-                    for tile in row:
-                        for chain in _tile_chains(tile):
-                            chain.clip_fraction = float(faults.readout_saturation)
 
     @property
     def crossbars(self) -> int:
         """Physical crossbars occupied (matches ``LayerMapping`` counting)."""
         return self.row_tiles * self.col_tiles
-
-    @property
-    def compute_dtype(self) -> np.dtype:
-        """Always float64: the tiled backend is the correctness reference.
-
-        ``ctx.compute_dtype`` is deliberately ignored here — the dtype-parity
-        tests compare the packed backend's float32 path against this
-        backend's (and the packed backend's) float64 numbers, so the
-        reference must never move.  The property exists so both backends
-        expose the same introspection surface.
-        """
-        return np.dtype(np.float64)
 
     @property
     def programmed_bytes(self) -> int:
@@ -287,7 +208,7 @@ class TiledMatmul:
         codes (one row per output position — the batched-over-input-columns
         path).  Returns the signed integer dot products ``codes @ q_weights``
         as estimated by the selected read-out mode, shape
-        ``(positions, out_cols)``.
+        ``(positions, out_cols)``, in float64.
         """
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 2 or codes.shape[1] != self.rows_needed:
@@ -313,12 +234,105 @@ class TiledMatmul:
             for ct, tile in enumerate(row):
                 c0 = ct * arch.weights_per_col_tile
                 width = self._col_widths[ct]
-                if self.mode == "ideal":
-                    partial = tile.ideal(block)
-                else:
-                    partial = tile.compute(block, self._read_noise[rt][ct])
+                partial = tile.ideal(block) if self.mode == "ideal" else tile.compute(block)
                 acc[:, c0 : c0 + width] += np.asarray(partial, dtype=float)[:, :width]
         # Digital offset removal: every programmed weight carries ``+offset``,
         # so each output column over-counts by ``offset * sum(codes)``.
         correction = self.offset * codes.sum(axis=1, dtype=np.int64)
         return acc - correction[:, None]
+
+
+#: one programmed conv/FC layer of the oracle: its per-output-channel
+#: dequantisation scales and one :class:`TiledMatmul` per group
+TiledLayer = Tuple[np.ndarray, List[TiledMatmul]]
+
+
+def program_tiled(
+    network: Network,
+    ctx: SimContext,
+    mode: str = "analog",
+    params: Optional[NetworkParams] = None,
+) -> Dict[str, TiledLayer]:
+    """Program every conv/FC layer of ``network`` onto oracle tiles.
+
+    Uses the engine's quantisation — per-output-channel symmetric
+    ``weight_bits`` codes laid out as per-group im2col matrices — so the
+    oracle and :func:`repro.engine.executor.program` see the same integers.
+    """
+    validate_supported(network)
+    params = params or NetworkParams(network, ctx.seed)
+    layers: Dict[str, TiledLayer] = {}
+    for inst in network.compute_instances:
+        quant = quantize_symmetric_per_channel(params[inst.name].weights, ctx.arch.weight_bits)
+        groups = inst.layer.groups if isinstance(inst.layer, Conv2D) else 1
+        group_out = quant.values.shape[0] // groups
+        # (groups, rows, group_cols), C-ordered like the packed state's stack
+        q = np.stack(
+            [
+                quant.values[g * group_out : (g + 1) * group_out].reshape(group_out, -1).T
+                for g in range(groups)
+            ]
+        )
+        layers[inst.name] = (quant.scales, [TiledMatmul(q[g], ctx, mode) for g in range(groups)])
+    return layers
+
+
+def tiled_forward(
+    network: Network,
+    ctx: SimContext,
+    x: np.ndarray,
+    mode: str = "analog",
+    params: Optional[NetworkParams] = None,
+    programmed: Optional[Dict[str, TiledLayer]] = None,
+) -> np.ndarray:
+    """Run ``x`` through ``network`` on the tiled oracle; returns the output.
+
+    The oracle counterpart of :meth:`repro.engine.executor.NetworkExecutor.run`:
+    per-image unsigned input quantisation, :func:`repro.nn.functional.im2col_batch`,
+    one :class:`TiledMatmul` per group, dequantisation and bias; auxiliary
+    layers go through :func:`repro.engine.reference.apply_aux_batched`, the
+    kernels the engine uses.  ``x`` is one ``(C, H, W)`` image or an
+    ``(N, C, H, W)`` batch and the output mirrors it.  ``programmed`` (from
+    :func:`program_tiled`) skips programming, which otherwise runs here.
+    """
+    params = params or NetworkParams(network, ctx.seed)
+    if programmed is None:
+        programmed = program_tiled(network, ctx, mode, params)
+    batch = np.asarray(x, dtype=float)
+    single = batch.ndim == 3
+    live: Dict[str, np.ndarray] = {NETWORK_INPUT: batch[None] if single else batch}
+    for inst in network.topological_order():
+        operands = [live[src] for src in inst.inputs]
+        if inst.name not in programmed:
+            live[inst.name] = apply_aux_batched(inst, operands, params)
+            continue
+        w_scales, groups = programmed[inst.name]
+        values, in_scales = quantize_unsigned_batch(operands[0], ctx.arch.input_bits)
+        n = values.shape[0]
+        layer = inst.layer
+        if isinstance(layer, Conv2D):
+            kernel, stride, pad = layer.kernel_h, layer.stride, conv_padding(layer)
+        else:  # FC: a 1x1 window over an (N, features, 1, 1) view
+            values, kernel, stride, pad = values.reshape(n, -1, 1, 1), 1, 1, 0
+        cols, out_h, out_w = F.im2col_batch(values, kernel, stride, pad)
+        codes = cols.reshape(-1, cols.shape[2])
+        group_rows = codes.shape[1] // len(groups)
+        out = np.concatenate(
+            [
+                tiles.matmul(codes[:, g * group_rows : (g + 1) * group_rows])
+                for g, tiles in enumerate(groups)
+            ],
+            axis=1,
+        )
+        out = out.reshape(n, out_h * out_w, -1) * (
+            w_scales[None, None, :] * in_scales[:, None, None]
+        )
+        bias = params[inst.name].bias
+        if bias is not None:
+            out = out + bias
+        if isinstance(layer, Conv2D):
+            live[inst.name] = out.transpose(0, 2, 1).reshape(n, -1, out_h, out_w)
+        else:
+            live[inst.name] = out.reshape(n, -1)
+    output = live[network.output.name]
+    return output[0] if single else output

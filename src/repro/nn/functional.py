@@ -67,7 +67,7 @@ def im2col_batch(
 
     This is the first step of the numpy reference tier behind
     ``repro.kernels.dispatch.im2col_pack`` (the packed engine's gather,
-    which also converts and sums the codes), and the tiled backend's
+    which also converts and sums the codes), and the tiled test oracle's
     im2col.
 
     The copy is gathered in ``(C*k*k, position)`` order — for unit stride

@@ -11,7 +11,7 @@ and resume boundaries cannot change any result.
 The expensive part of a trial is not the forward pass but the weight
 *programming* that used to happen inside every ``NetworkExecutor``
 construction.  Programming is noise-free, so every trial and noise scale of
-one ``(model, arch, mode, backend, seed)`` group shares a single
+one ``(model, arch, mode, seed, compute dtype)`` group shares a single
 :class:`~repro.engine.state.ProgrammedState`: :func:`run_sweep` programs
 each group **once** in the parent, snapshots it to disk (the sweep's
 ``--state-cache`` directory when given, a temp directory otherwise) and
@@ -19,7 +19,8 @@ ships the snapshot path to the workers — a pool initializer pre-loads it,
 and :func:`run_trial_chunk` runs a whole chunk of trials against the
 memoised state instead of re-programming per trial.  Per-trial programming
 variation is applied at executor wiring from the trial's own noise streams,
-so the rows stay bit-for-bit identical to the re-program-every-trial path.
+so the rows stay bit-for-bit identical to programming every trial from
+scratch (:func:`run_trial` without a state).
 
 :func:`run_sweep` drives a grid through a ``ProcessPoolExecutor`` (or
 inline for ``workers <= 1``), appending rows to the
@@ -31,7 +32,7 @@ its trials' rows.  A fully-resumed sweep computes nothing and — pool
 startup being the dominant cost of small sweeps — never creates a pool.
 
 Long fault-injection campaigns must survive their own workers: the pooled
-paths route every unit of work through a drain loop that retries failed
+path routes every unit of work through a drain loop that retries failed
 units with exponential backoff (``max_retries``), rebuilds the process pool
 when a worker death surfaces as ``BrokenProcessPool`` (re-running only the
 in-flight units — everything already appended to the store is kept), and
@@ -81,8 +82,9 @@ def run_trial(
     rebuilt network and parameters) skips quantisation and bit-slice packing
     and goes straight to wiring — same numbers, noise included, because the
     state is noise-free and per-trial variation is applied at wiring time.
-    With all three ``None`` the trial programs from scratch (the legacy
-    path, still exercised by ``share_state=False``).
+    With all three ``None`` the trial programs its chip from scratch — the
+    reference the shared-state rows are tested against, and the bench's
+    serial baseline.
     """
     from repro.engine import NetworkExecutor
     from repro.nn.models import build_model
@@ -221,7 +223,7 @@ def _group_key(spec: TrialSpec) -> str:
 
     Noise scale and trial index are deliberately absent — the state is
     noise-free, so every Monte-Carlo trial of one
-    ``(model, arch, mode, backend, seed, compute_dtype)`` group shares one
+    ``(model, arch, mode, seed, compute_dtype)`` group shares one
     programming.  The compute dtype **is** present: a float32 payload holds
     different bytes than a float64 one, so mixed-precision campaigns must
     not alias in the cache.
@@ -236,14 +238,12 @@ def _group_key(spec: TrialSpec) -> str:
         weight_bits=spec.weight_bits,
         input_bits=spec.input_bits,
     )
-    return state_key(
-        spec.model, arch, spec.mode, spec.backend, spec.seed, spec.compute_dtype
-    )
+    return state_key(spec.model, arch, spec.mode, spec.seed, spec.compute_dtype)
 
 
 @dataclass
 class _PoolTask:
-    """One retryable unit of pool work (a trial, or a chunk of trials)."""
+    """One retryable unit of pool work: a chunk of one group's trials."""
 
     fn: Callable
     args: tuple
@@ -386,8 +386,8 @@ class SweepOutcome:
     #: points deduplicated their identical trials)
     executed: int
     elapsed_s: float
-    #: seconds the parent spent programming shared states (0 with
-    #: ``share_state=False`` or when everything resumed from the store)
+    #: seconds the parent spent programming shared states (0 when
+    #: everything resumed from the store)
     program_s: float = 0.0
     #: seconds spent spawning and warming a pool this call created itself
     #: (0 inline, and 0 when the caller passed a pre-warmed ``pool=``)
@@ -412,7 +412,6 @@ def run_sweep(
     resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     cache=None,
-    share_state: bool = True,
     pool: Optional[Executor] = None,
     chunk_size: Optional[int] = None,
     max_retries: int = 2,
@@ -439,11 +438,10 @@ def run_sweep(
     set, which records each affected trial as a structured error row
     (spec fields plus an ``"error"`` message) and carries on.
 
-    ``share_state`` (default) programs each distinct
-    ``(model, arch, mode, backend, seed)`` group once in the parent and
-    reuses the snapshot for every trial — bit-identical rows, minus the
-    per-trial re-programming cost; ``share_state=False`` is the legacy
-    program-every-trial path.  ``cache`` (a
+    Each distinct ``(model, arch, mode, seed, compute_dtype)`` group is
+    programmed once in the parent and its snapshot reused for every trial —
+    rows bit-identical to programming every trial from scratch, minus that
+    per-trial cost.  ``cache`` (a
     :class:`~repro.engine.state.ProgrammedStateCache`) persists and reuses
     programmed states across invocations; without one, snapshots for the
     workers live in a temp directory for the duration of the call.
@@ -536,63 +534,9 @@ def run_sweep(
         emit(known[key], members.pop(key))
         del work[key]
 
-    if not work:
-        # everything resumed (or the grid was empty): nothing to program,
-        # and — crucially — no pool to pay startup for
-        pass
-    elif not share_state:
-        # legacy path: every trial programs its own chip
-        if pool is None and (workers <= 1 or len(work) == 1):
-            for key, shared in work.items():
-                try:
-                    row = call_with_retries(run_trial, shared)
-                except Exception as exc:
-                    if not keep_going:
-                        raise
-                    emit_error(shared, exc)
-                else:
-                    emit(row, members[key])
-        else:
-            own_pool = pool is None
-            original_pool = pool
-            if own_pool:
-                pool, pool_startup_s = warm_pool(workers)
-            holder: List[Executor] = [pool]
-
-            def rebuild() -> Executor:
-                return warm_pool(max(2, workers))[0]
-
-            def on_result(task: _PoolTask, row: dict) -> None:
-                emit(row, members[task.payload.key])
-
-            def on_failure(task: _PoolTask, exc: BaseException) -> None:
-                if not keep_going:
-                    raise exc
-                emit_error(task.payload, exc)
-
-            tasks = [
-                _PoolTask(fn=run_trial, args=(shared,), payload=shared)
-                for shared in work.values()
-            ]
-            try:
-                _drain_pool(
-                    holder,
-                    rebuild,
-                    tasks,
-                    on_result,
-                    on_failure,
-                    max_retries,
-                    retry_backoff_s,
-                    trial_timeout_s,
-                    progress,
-                )
-            finally:
-                # a rebuilt pool is owned here even when the caller lent the
-                # original (now dead) one; the original is only closed if
-                # this call created it
-                if own_pool or holder[0] is not original_pool:
-                    holder[0].shutdown()
-    else:
+    # with nothing left (everything resumed, or an empty grid) there is
+    # nothing to program and — crucially — no pool to pay startup for
+    if work:
         from repro.engine import NetworkParams, ProgrammedStateCache
         from repro.nn.models import build_model
 
@@ -647,7 +591,7 @@ def run_sweep(
                 original_pool = pool
                 if own_pool:
                     pool, pool_startup_s = warm_pool(workers, tuple(paths.values()))
-                holder = [pool]
+                holder: List[Executor] = [pool]
 
                 def rebuild() -> Executor:
                     return warm_pool(max(2, workers), tuple(paths.values()))[0]
@@ -694,6 +638,9 @@ def run_sweep(
                         progress,
                     )
                 finally:
+                    # a rebuilt pool is owned here even when the caller lent
+                    # the original (now dead) one; the original is only
+                    # closed if this call created it
                     if own_pool or holder[0] is not original_pool:
                         holder[0].shutdown()
             finally:

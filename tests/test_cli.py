@@ -98,7 +98,7 @@ def test_run_json_schema(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["model"] == "tiny_cnn"
     assert doc["mode"] == "analog"
-    assert doc["backend"] == "packed"
+    assert "backend" not in doc
     assert doc["batch"] == 0
     assert doc["validate"] is True
     assert doc["noise_scale"] == 0.0
@@ -109,14 +109,14 @@ def test_run_json_schema(capsys):
         assert trace.keys() >= {"name", "kind", "crossbars", "rel_error"}
 
 
-def test_run_backends_agree_noiselessly(capsys):
-    """Both CLI backends report the same rel error to float tolerance."""
-    assert cli.main(["run", "--model", "tiny_cnn", "--json"]) == 0
-    packed = json.loads(capsys.readouterr().out)
-    assert cli.main(["run", "--model", "tiny_cnn", "--json", "--backend", "tiled"]) == 0
-    tiled = json.loads(capsys.readouterr().out)
-    assert tiled["backend"] == "tiled"
-    assert packed["rel_error"] == pytest.approx(tiled["rel_error"], rel=1e-9)
+@pytest.mark.parametrize("command", ["run", "program", "sweep"])
+def test_backend_option_is_gone(command, capsys):
+    """The packed engine is the only engine path: ``--backend`` is an
+    unknown option everywhere (argparse usage error, exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--backend", "packed"])
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_run_no_validate_omits_errors(capsys):
@@ -251,7 +251,7 @@ def test_program_json_schema_and_cache_hit(tmp_path, capsys):
     assert cli.main(args) == 0
     first = json.loads(capsys.readouterr().out)
     assert first["model"] == "tiny_cnn"
-    assert first["mode"] == "analog" and first["backend"] == "packed"
+    assert first["mode"] == "analog" and "backend" not in first
     assert first["source"] == "programmed"
     assert len(first["key"]) == 16
     assert first["layers"] > 0 and first["state_mb"] > 0
@@ -408,7 +408,6 @@ def test_sweep_json_schema_and_monotone_errors(tmp_path, capsys):
         assert entry.keys() >= {
             "model",
             "cell_bits",
-            "backend",
             "trials",
             "mean_rel_error",
             "p95_rel_error",
@@ -459,11 +458,6 @@ def test_sweep_state_cache_and_timing_fields(tmp_path, capsys):
     assert doc["pool_startup_s"] == 0  # single-worker sweeps run inline
     entries = list((tmp_path / "cache").iterdir())
     assert len(entries) == 1 and (entries[0] / "meta.json").is_file()
-
-
-def test_sweep_unknown_backend_exits_2(tmp_path, capsys):
-    assert cli.main(_sweep_args(tmp_path, "--backend", "bogus")) == 2
-    assert "invalid sweep configuration" in capsys.readouterr().err
 
 
 def test_sweep_compute_dtype_axis(tmp_path, capsys):
@@ -521,7 +515,8 @@ def test_bench_writes_artifact(tmp_path, capsys):
     assert doc["engine"]["model"] == "tiny_cnn"
     assert doc["engine"]["elapsed_s"] > 0
     assert doc["engine"]["rel_error"] < 0.1
-    # both engine backends are timed with peak- and resident-memory figures
+    # the packed engine and the tiled oracle are timed with peak- and
+    # resident-memory figures
     for backend in ("packed", "tiled"):
         assert doc["engine"]["backends"][backend]["elapsed_s"] > 0
         assert doc["engine"]["backends"][backend]["peak_mb"] > 0
@@ -533,7 +528,7 @@ def test_bench_writes_artifact(tmp_path, capsys):
     )
     assert doc["engine"]["speedup"] > 1.0
     assert doc["im2col"]["speedup"] > 1.0
-    # sweep smoke: legacy-serial vs shared-state vs warm-pool legs
+    # sweep smoke: program-every-trial serial vs shared-state vs warm-pool legs
     assert doc["sweep"]["model"] == "tiny_cnn"
     assert doc["sweep"]["trials"] == 4
     assert doc["sweep"]["engine_runs"] == 3  # noiseless pair shares one run

@@ -13,12 +13,12 @@ from repro.engine import (
     EngineError,
     NetworkExecutor,
     NetworkParams,
-    TiledMatmul,
     reference_forward,
     reference_forward_batch,
     run_network,
     validate_sequential,
 )
+from repro.engine.tiles import TiledMatmul
 from repro.nn import functional as F
 from repro.nn.models import build_model
 
@@ -75,6 +75,17 @@ def test_tiled_matmul_rejects_out_of_range_weights_and_codes():
         tiled.matmul(np.full((2, 4), 256))  # > 8-bit input code
     with pytest.raises(EngineError):
         tiled.matmul(np.zeros((2, 5), dtype=int))  # wrong vector length
+
+
+def test_tiled_matmul_rejects_noisy_and_faulted_contexts():
+    """The oracle is noiseless by design: noise or faults are a named error."""
+    from repro.faults import FaultModel
+
+    q = np.zeros((4, 4), dtype=int)
+    with pytest.raises(EngineError, match="noiseless"):
+        TiledMatmul(q, SimContext(noise=HardwareNoiseConfig()))
+    with pytest.raises(EngineError, match="fault-free"):
+        TiledMatmul(q, SimContext(faults=FaultModel(stuck_on_fraction=0.01)), "ideal")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Packed-backend tests: equivalence of the packed vectorized execution
-path against the legacy tiled path (noiseless, across cell splits, grouped
+"""Packed-engine tests: equivalence of the packed vectorized execution
+path against the tiled test oracle (noiseless, across cell splits, grouped
 convolutions, partial edge tiles and batches), the batch-dimension
 semantics, validation gating and the >=10x cnn_1 speedup bar."""
 
@@ -13,11 +13,12 @@ from repro.context import ArchSpec, SimContext
 from repro.engine import (
     EngineError,
     NetworkExecutor,
+    NetworkParams,
     PackedMatmul,
-    TiledMatmul,
     relative_error,
     run_network,
 )
+from repro.engine.tiles import TiledMatmul, program_tiled, tiled_forward
 from repro.nn import functional as F
 from repro.nn.layers import TensorShape
 from repro.nn.models import build_model
@@ -38,7 +39,7 @@ def _grouped_conv_net() -> "NetworkBuilder":
 
 
 # ---------------------------------------------------------------------------
-# matmul-level equivalence: packed vs tiled
+# matmul-level equivalence: packed vs the tiled oracle
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -47,7 +48,7 @@ def _grouped_conv_net() -> "NetworkBuilder":
 )
 @pytest.mark.parametrize("mode", ["analog", "ideal"])
 def test_packed_matches_tiled_across_cell_splits(weight_bits, cell_bits, mode):
-    """All slice counts agree with the legacy path on partial edge tiles."""
+    """All slice counts agree with the oracle on partial edge tiles."""
     arch = ArchSpec(rows=16, cols=16, weight_bits=weight_bits, cell_bits=cell_bits)
     ctx = SimContext(arch=arch)
     qmax = 2 ** (weight_bits - 1) - 1
@@ -109,29 +110,27 @@ def test_packed_stores_true_size_not_padded_tiles():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["analog", "ideal"])
-def test_cnn1_packed_run_matches_tiled_run_noiseless(mode):
-    """The acceptance bar: cnn_1 agrees across backends to <= 1e-9."""
+def test_cnn1_packed_run_matches_tiled_oracle_noiseless(mode):
+    """The acceptance bar: cnn_1 agrees with the oracle to <= 1e-9."""
     network = build_model("cnn_1")
     ctx = SimContext()
     x = NetworkExecutor(network, ctx).random_input()
-    packed = NetworkExecutor(network, ctx, mode, backend="packed").run(x)
-    tiled = NetworkExecutor(network, ctx, mode, backend="tiled").run(x)
-    assert relative_error(packed.output, tiled.output) <= 1e-9
-    assert packed.backend == "packed" and tiled.backend == "tiled"
+    packed = NetworkExecutor(network, ctx, mode).run(x)
+    tiled = tiled_forward(network, ctx, x, mode)
+    assert tiled.shape == packed.output.shape
+    assert relative_error(packed.output, tiled) <= 1e-9
 
 
-def test_grouped_conv_network_matches_across_backends():
+def test_grouped_conv_network_matches_tiled_oracle():
     network = _grouped_conv_net()
     ctx = SimContext(seed=2)
     x = NetworkExecutor(network, ctx).random_input()
-    packed = NetworkExecutor(network, ctx, backend="packed").run(x)
-    tiled = NetworkExecutor(network, ctx, backend="tiled").run(x)
-    assert relative_error(packed.output, tiled.output) <= 1e-9
+    packed = NetworkExecutor(network, ctx).run(x)
+    assert relative_error(packed.output, tiled_forward(network, ctx, x)) <= 1e-9
     assert packed.rel_error < 5e-2  # still at the quantisation floor
 
 
-@pytest.mark.parametrize("backend", ["packed", "tiled"])
-def test_batched_run_equals_stacked_single_runs(backend):
+def test_batched_run_equals_stacked_single_runs():
     """Per-image quantisation makes a batch N independent runs.
 
     The integer codes are identical, so the ideal (exact integer) mode is
@@ -140,7 +139,7 @@ def test_batched_run_equals_stacked_single_runs(backend):
     """
     network = _grouped_conv_net()
     ctx = SimContext()
-    exact = NetworkExecutor(network, ctx, mode="ideal", backend=backend)
+    exact = NetworkExecutor(network, ctx, mode="ideal")
     batch = exact.random_batch(3)
     batched = exact.run(batch)
     assert batched.output.shape[0] == 3
@@ -150,12 +149,33 @@ def test_batched_run_equals_stacked_single_runs(backend):
     assert batched.reference.shape == batched.output.shape
     assert all(np.isfinite(trace.rel_error) for trace in batched.traces)
 
-    analog = NetworkExecutor(network, ctx, mode="analog", backend=backend)
+    analog = NetworkExecutor(network, ctx, mode="analog")
     batched = analog.run(batch, validate=False)
     singles = np.stack(
         [analog.run(batch[i], validate=False).output for i in range(3)]
     )
     np.testing.assert_allclose(batched.output, singles, rtol=1e-10, atol=1e-12)
+
+
+def test_tiled_oracle_batched_run_equals_stacked_single_runs():
+    """The oracle's batch axis is N independent runs too: bit-for-bit in
+    ideal mode, to float tolerance in analog mode."""
+    network = _grouped_conv_net()
+    ctx = SimContext()
+    params = NetworkParams(network, ctx.seed)
+    batch = NetworkExecutor(network, ctx).random_batch(3)
+    for mode in ("ideal", "analog"):
+        programmed = program_tiled(network, ctx, mode, params)
+
+        def forward(x):
+            return tiled_forward(network, ctx, x, mode, params, programmed)
+
+        batched = forward(batch)
+        singles = np.stack([forward(batch[i]) for i in range(3)])
+        if mode == "ideal":
+            np.testing.assert_array_equal(batched, singles)
+        else:
+            np.testing.assert_allclose(batched, singles, rtol=1e-10, atol=1e-12)
 
 
 def test_batch_of_one_matches_single_image_run():
@@ -192,17 +212,17 @@ def test_validate_false_skips_reference_but_keeps_output():
 
 
 def test_packed_noise_is_reproducible_and_bounded():
-    """Noise draws differ from the tiled backend (documented), but packed
-    runs are exactly reproducible from the noise seed and stay bounded."""
+    """Packed noisy runs are exactly reproducible from the noise seed and
+    stay bounded."""
     network = build_model("tiny_cnn")
 
     def noisy_run():
         ctx = SimContext(noise=HardwareNoiseConfig(seed=11))
-        return run_network(network, ctx, backend="packed")
+        return run_network(network, ctx)
 
     a, b = noisy_run(), noisy_run()
     np.testing.assert_array_equal(a.output, b.output)
-    noiseless = run_network(network, SimContext(), backend="packed")
+    noiseless = run_network(network, SimContext())
     assert a.rel_error > noiseless.rel_error
     assert a.rel_error < 1.0
 
@@ -211,7 +231,7 @@ def test_packed_executor_crossbars_match_mapping():
     """Including the awkward cell_bits=3 split (85 weights per 256-col tile)."""
     network = build_model("cnn_1")
     for arch in (ArchSpec(), ArchSpec(cell_bits=3, weight_bits=8)):
-        executor = NetworkExecutor(network, SimContext(arch=arch), backend="packed")
+        executor = NetworkExecutor(network, SimContext(arch=arch))
         assert executor.crossbars == executor.mapping.total_crossbars
 
 
@@ -262,16 +282,19 @@ def _best_of(func, repeats):
 
 def test_packed_cnn1_analog_run_is_at_least_10x_faster_than_tiled():
     """Acceptance bar: the cnn_1 analog engine run is >= 10x faster on the
-    packed backend than on the legacy tiled backend.  Both executors are
+    packed engine than on the per-crossbar tiled oracle.  Both are
     programmed once (weights are written to the arrays a single time in a
     serving scenario) and timed on the same 4-image batch with validation
-    off, so the comparison isolates the execution backends themselves."""
+    off, so the comparison isolates the two execution paths themselves."""
     network = build_model("cnn_1")
     ctx = SimContext()
-    packed = NetworkExecutor(network, ctx, mode="analog", backend="packed")
-    tiled = NetworkExecutor(network, ctx, mode="analog", backend="tiled")
+    packed = NetworkExecutor(network, ctx, mode="analog")
+    params = packed.params
+    programmed = program_tiled(network, ctx, "analog", params)
     x = packed.random_batch(4)
     packed.run(x, validate=False)  # warm-up
     packed_s = _best_of(lambda: packed.run(x, validate=False), repeats=5)
-    tiled_s = _best_of(lambda: tiled.run(x, validate=False), repeats=3)
+    tiled_s = _best_of(
+        lambda: tiled_forward(network, ctx, x, "analog", params, programmed), repeats=3
+    )
     assert tiled_s / packed_s >= 10.0, f"only {tiled_s / packed_s:.1f}x"

@@ -37,7 +37,7 @@ def test_grid_expands_the_full_cartesian_product():
         noise_scales=(0.0, 1.0),
         trials=3,
         cell_bits=(4, 8),
-        backends=("packed", "tiled"),
+        compute_dtypes=("float64", "float32"),
     )
     specs = grid.specs()
     assert len(specs) == len(grid) == 2 * 2 * 3 * 2 * 2
@@ -74,12 +74,12 @@ def test_grid_deduplicates_repeated_values_in_order():
         noise_scales=(0.0, 0.5, 0.5),
         trials=2,
         cell_bits=(4, 4),
-        backends=("packed", "packed"),
+        compute_dtypes=("float64", "float64"),
     )
     assert grid.models == ("tiny_cnn",)
     assert grid.noise_scales == (0.0, 0.5)
     assert grid.cell_bits == (4,)
-    assert grid.backends == ("packed",)
+    assert grid.compute_dtypes == ("float64",)
     assert len(grid) == len(grid.specs()) == 4
 
 
@@ -95,8 +95,6 @@ def test_grid_rejects_bad_configurations():
         SweepGrid(noise_scales=(float("nan"),))
     with pytest.raises(ValueError):
         SweepGrid(noise_scales=(float("inf"),))
-    with pytest.raises(ValueError):
-        SweepGrid(backends=("bogus",))
     with pytest.raises(ValueError):
         SweepGrid(mode="warp")
 
@@ -257,13 +255,12 @@ def test_run_trial_from_shared_state_matches_from_scratch():
 
 
 def test_shared_state_rows_match_legacy_path(tmp_path):
-    """share_state=False (program every trial) and the default shared-state
-    sweep write byte-identical stores."""
-    legacy = SweepStore(tmp_path / "legacy.jsonl")
+    """The shared-state sweep's stored rows equal rows programmed from
+    scratch per spec (``run_trial`` without a state), trial for trial."""
     shared = SweepStore(tmp_path / "shared.jsonl")
-    run_sweep(TINY_GRID, legacy, workers=1, share_state=False)
     run_sweep(TINY_GRID, shared, workers=1)
-    assert legacy.path.read_bytes() == shared.path.read_bytes()
+    from_scratch = [run_trial(spec) for spec in TINY_GRID.specs()]
+    assert list(shared.load().values()) == from_scratch
 
 
 def test_chunk_size_does_not_change_the_store(tmp_path):
@@ -360,7 +357,6 @@ def test_summarize_reduces_mean_and_p95():
         {
             "model": "m",
             "cell_bits": 4,
-            "backend": "packed",
             "noise_scale": 1.0,
             "rel_error": err,
             "layers": {"conv": err / 2},
@@ -373,19 +369,18 @@ def test_summarize_reduces_mean_and_p95():
     assert entry["p95_rel_error"] == pytest.approx(np.percentile([0.1, 0.2, 0.3, 0.4], 95))
     assert entry["max_rel_error"] == pytest.approx(0.4)
     assert entry["layers"]["conv"] == pytest.approx(0.125)
-    assert "packed" in format_summary([entry])
+    assert format_summary([entry]).splitlines()[2].split()[:4] == ["m", "4", "1", "0"]
 
 
 # ---------------------------------------------------------------------------
 # the correctness prerequisite: construction-order independent noise
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["packed", "tiled"])
-def test_two_executors_from_one_context_agree_noisily(backend):
+def test_two_executors_from_one_context_agree_noisily():
     """The headline bugfix: noisy outputs no longer depend on how many
     executors consumed the (previously shared) noise stream first."""
     network = build_model("tiny_cnn")
-    ctx = SimContext(noise=HardwareNoiseConfig.scaled(1.0, seed=5), backend=backend)
+    ctx = SimContext(noise=HardwareNoiseConfig.scaled(1.0, seed=5))
     first = NetworkExecutor(network, ctx)
     second = NetworkExecutor(network, ctx)  # construction order must not matter
     x = first.random_input()
