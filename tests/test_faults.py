@@ -1,6 +1,6 @@
 """Fault-injection subsystem: model validation, seed-stable + nested masks,
 drift direction, redundancy remap, read-out saturation (including the
-saturation=1 no-op), resident-vs-streamed bit-identity,
+saturation=1 no-op), every kernel tier, resident-vs-streamed bit-identity,
 per-trial decorrelation and the ideal-mode no-op."""
 
 import numpy as np
@@ -10,6 +10,7 @@ from repro.context import ArchSpec, SimContext
 from repro.engine import NetworkExecutor, program
 from repro.engine.state import ProgrammedState
 from repro.faults import FaultModel, FaultReport, apply_tile_faults
+from repro.kernels.dispatch import available
 from repro.nn.models import build_model
 
 STUCK = FaultModel(stuck_on_fraction=0.01, stuck_off_fraction=0.01, seed=0)
@@ -165,17 +166,19 @@ def _run(model="tiny_cnn", ctx=None, mode="analog"):
     return executor.run()
 
 
-def test_faults_degrade_accuracy_and_are_reported():
-    clean = _run(ctx=SimContext())
-    faulted = _run(ctx=SimContext(faults=STUCK))
+@pytest.mark.parametrize("kernel", available())
+def test_faults_degrade_accuracy_and_are_reported(kernel):
+    clean = _run(ctx=SimContext(kernel=kernel))
+    faulted = _run(ctx=SimContext(kernel=kernel, faults=STUCK))
     assert faulted.rel_error > clean.rel_error
     assert faulted.stuck_cells > 0
     assert clean.stuck_cells == clean.remapped_rows == 0
     assert sum(t.stuck_cells for t in faulted.traces) == faulted.stuck_cells
 
 
-def test_faulted_run_is_bit_identical_across_executors():
-    ctx = SimContext(faults=STUCK)
+@pytest.mark.parametrize("kernel", available())
+def test_faulted_run_is_bit_identical_across_executors(kernel):
+    ctx = SimContext(kernel=kernel, faults=STUCK)
     a, b = _run(ctx=ctx), _run(ctx=ctx)
     assert a.rel_error == b.rel_error
     assert a.stuck_cells == b.stuck_cells

@@ -18,7 +18,12 @@ from repro.engine import (
     state_key,
 )
 from repro.engine.state import STATE_FORMAT
+from repro.kernels.dispatch import available
 from repro.nn.models import build_model
+
+#: every kernel tier buildable here (compiled C first, numpy reference last);
+#: the round trips must hold on each, including a C tier reading mmap'd arrays
+TIERS = available()
 
 #: cell splits exercised by the round-trip matrix: 8-bit weights over
 #: 8-bit cells (1 slice), 4-bit cells (2 slices) and 2-bit cells (4 slices)
@@ -41,11 +46,12 @@ def _assert_identical(fresh_result, rebuilt_result):
 # program / from_state compose identity
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kernel", TIERS)
 @pytest.mark.parametrize("mode", ["analog", "ideal"])
-def test_legacy_constructor_equals_program_plus_from_state(mode):
+def test_legacy_constructor_equals_program_plus_from_state(mode, kernel):
     """The historical one-shot constructor is exactly program + wire."""
     network = build_model("tiny_cnn")
-    ctx = SimContext()
+    ctx = SimContext(kernel=kernel)
     legacy = NetworkExecutor(network, ctx, mode=mode)
     state = program(network, ctx, mode)
     rebuilt = NetworkExecutor.from_state(state, network=network, ctx=ctx)
@@ -77,13 +83,17 @@ def test_executor_records_its_state():
 # save -> load -> execute round-trips
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kernel", TIERS)
 @pytest.mark.parametrize("cell_bits", CELL_SPLITS)
 @pytest.mark.parametrize("mmap", [False, True])
-def test_round_trip_is_byte_identical_across_cell_splits(tmp_path, cell_bits, mmap):
+def test_round_trip_is_byte_identical_across_cell_splits(
+    tmp_path, cell_bits, mmap, kernel
+):
     """save -> load (eager and mmap) -> from_state reproduces a freshly
-    programmed executor bit-for-bit, for every bit-cell slicing."""
+    programmed executor bit-for-bit, for every bit-cell slicing and kernel
+    tier."""
     network = build_model("tiny_cnn")
-    ctx = SimContext(arch=ArchSpec(cell_bits=cell_bits))
+    ctx = SimContext(arch=ArchSpec(cell_bits=cell_bits), kernel=kernel)
     fresh = NetworkExecutor(network, ctx)
     fresh.state.save(tmp_path / "state")
     loaded = ProgrammedState.load(tmp_path / "state", mmap=mmap)
@@ -92,10 +102,11 @@ def test_round_trip_is_byte_identical_across_cell_splits(tmp_path, cell_bits, mm
     _assert_identical(*_run_pair(fresh, rebuilt, x))
 
 
-def test_round_trip_branching_model(tmp_path):
+@pytest.mark.parametrize("kernel", TIERS)
+def test_round_trip_branching_model(tmp_path, kernel):
     """A branching DAG (residual adds + projection) survives the round trip."""
     network = build_model("resnet_smoke")
-    ctx = SimContext()
+    ctx = SimContext(kernel=kernel)
     fresh = NetworkExecutor(network, ctx)
     fresh.state.save(tmp_path / "state")
     loaded = ProgrammedState.load(tmp_path / "state")
@@ -104,11 +115,12 @@ def test_round_trip_branching_model(tmp_path):
     _assert_identical(*_run_pair(fresh, rebuilt, x))
 
 
-def test_round_trip_with_noise_is_bit_identical(tmp_path):
+@pytest.mark.parametrize("kernel", TIERS)
+def test_round_trip_with_noise_is_bit_identical(tmp_path, kernel):
     """Per-trial programming variation applies identically on top of a
     loaded snapshot — the property the sweep pool's byte-identity rests on."""
     network = build_model("tiny_cnn")
-    ctx = SimContext(noise=HardwareNoiseConfig(), seed=3)
+    ctx = SimContext(noise=HardwareNoiseConfig(), seed=3, kernel=kernel)
     fresh = NetworkExecutor(network, ctx)
     fresh.state.save(tmp_path / "state")
     loaded = ProgrammedState.load(tmp_path / "state")

@@ -12,6 +12,7 @@ import pytest
 from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import SimContext
 from repro.engine import NetworkExecutor
+from repro.kernels.dispatch import available
 from repro.nn.models import build_model
 from repro.sweep import (
     SweepGrid,
@@ -376,11 +377,12 @@ def test_summarize_reduces_mean_and_p95():
 # the correctness prerequisite: construction-order independent noise
 # ---------------------------------------------------------------------------
 
-def test_two_executors_from_one_context_agree_noisily():
+@pytest.mark.parametrize("kernel", available())
+def test_two_executors_from_one_context_agree_noisily(kernel):
     """The headline bugfix: noisy outputs no longer depend on how many
     executors consumed the (previously shared) noise stream first."""
     network = build_model("tiny_cnn")
-    ctx = SimContext(noise=HardwareNoiseConfig.scaled(1.0, seed=5))
+    ctx = SimContext(noise=HardwareNoiseConfig.scaled(1.0, seed=5), kernel=kernel)
     first = NetworkExecutor(network, ctx)
     second = NetworkExecutor(network, ctx)  # construction order must not matter
     x = first.random_input()
