@@ -15,8 +15,8 @@ counts them, and pushes real activations through the
    converts once and forwards: it reads each code once — at any strides,
    so a channels-last producer output needs no copy — and writes the
    im2col windows straight as DTC pulse widths in the compute dtype, plus
-   each group's exact code sums (TIMELY's only-once input read, O²IR;
-   FC layers are its 1×1 case),
+   each group's exact code sums and per-row-tile pulse-width sums
+   (TIMELY's only-once input read, O²IR; FC layers are its 1×1 case),
 3. time-domain dot products batched over input columns *and* over the
    images of a batch, every row tile and bit-cell slice reading that one
    operand, with optional :mod:`repro.circuits.noise` injection,
@@ -367,11 +367,11 @@ class _MappedComputeLayer:
             kernel, stride = self.kernel, self.stride
         # the only-once input read: one dispatched gather reads the codes
         # (channels-last from the previous layer, any strides), converts
-        # each window element once into the layer's crossbar operand and
-        # sums the codes per group — the channel-major patch layout keeps
-        # each group's rows contiguous
+        # each window element once into the layer's crossbar operand, sums
+        # the codes per group and the pulse widths per crossbar row tile —
+        # the channel-major patch layout keeps each group's rows contiguous
         packed = self._packed
-        operand, code_sums, out_h, out_w = im2col_pack(
+        operand, code_sums, delay_sums, out_h, out_w = im2col_pack(
             values,
             kernel,
             stride,
@@ -379,9 +379,10 @@ class _MappedComputeLayer:
             groups=self.n_groups,
             scale=packed.operand_scale,
             dtype=packed.operand_dtype,
+            tile_rows=packed.sum_tile_rows,
             kernel=self._kernel_tier,
         )
-        out = packed.matmul(operand, code_sums)
+        out = packed.matmul(operand, code_sums, delay_sums)
         positions = out_h * out_w
         out = out.reshape(n, positions, self.out_channels)
         np.multiply(out, self.w_scales[None, None, :] * in_scales[:, None, None], out=out)

@@ -17,22 +17,27 @@ objects:
 * inputs are converted once, then forwarded: the executor's single
   dispatched gather (:func:`repro.kernels.dispatch.im2col_pack`) reads each
   quantised code once and writes the layer's crossbar operand — DTC pulse
-  widths, position-major — plus the exact per-group code sums.  This is
+  widths, position-major — plus the exact per-group code sums and, while
+  each operand row is still hot, its per-row-tile pulse-width sums (the
+  delay sums every crossbar's reference column subtracts).  This is
   TIMELY's only-once input read (O²IR, Section III-A): one DTC conversion
   per input, whose time pulse the X-subBufs forward to every crossbar that
   needs it.  Here every row tile, bit-cell slice and group reads that one
-  operand through views, and nothing re-expands or re-converts it,
+  operand through views, and nothing re-expands, re-converts or re-sums
+  it,
 * one batched ``delays @ G`` matmul per row-tile slice replaces the Python
   loop over ``row_tiles x col_tiles x slices`` tile objects (the column-tile
   axis vanishes entirely: a packed slice holds every output column), and
   grouped convolutions ride the same call as a stacked leading matmul axis,
-* the time-domain chain — phase-I charge, G_min offset subtraction, clip,
-  phase-II threshold crossing, LSB rescale — is elementwise with per-chain
-  scalars that are identical across a layer's tiles
+* the time-domain chain — phase-I charge (the V_DD scaling of the raw
+  products), G_min offset subtraction, clip, phase-II threshold crossing,
+  LSB rescale — is elementwise with per-chain scalars that are identical
+  across a layer's tiles
   (:class:`repro.circuits.timing.TimeDomainChainSpec`), so it runs as one
-  vectorized :meth:`~repro.circuits.timing.TimeDomainChainSpec.read_out`
-  pass over a charge tensor stacked across every tile, slice, batch
-  position and output column at once.  The sub-ranging MSB/LSB pair of
+  fused :func:`repro.kernels.dispatch.readout_fused` pass over the raw
+  ``delays @ G`` products stacked across every tile, slice, batch
+  position and output column at once, together with the slice/tile
+  recombination.  The sub-ranging MSB/LSB pair of
   Section IV-C is simply the 2-slice case of this recombination.
 
 Noiseless, the packed path matches the tiled oracle to float tolerance
@@ -335,6 +340,9 @@ class PackedMatmul:
         )
         self.operand_dtype = np.dtype(np.float64) if self._jittered else self.compute_dtype
         self.operand_scale = 1.0 if self._jittered or mode == "ideal" else self.spec.dtc.t_del_s
+        #: row-tile height of the gather's delay sums: the noiseless analog
+        #: chain only (ideal mode needs none, a jittered DTC sums its own)
+        self.sum_tile_rows = arch.rows if mode == "analog" and not self._jittered else None
 
         self._encoded = encoded
         if program_noise is not None:
@@ -404,7 +412,9 @@ class PackedMatmul:
             return self._encoded.nbytes
         return sum(g.nbytes for g in self._conductances)
 
-    def gather(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def gather(
+        self, codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """The :meth:`matmul` operands of a ``(positions, rows)`` code matrix.
 
         ``codes`` holds unsigned input codes with the groups' blocks
@@ -427,17 +437,23 @@ class PackedMatmul:
                 f"input codes must lie in [0, {levels - 1}] for "
                 f"{self.ctx.arch.input_bits}-bit inputs"
             )
-        operand, code_sums, _, _ = im2col_pack(
+        operand, code_sums, delay_sums, _, _ = im2col_pack(
             codes[:, :, None, None],
             1,
             groups=self.n_groups,
             scale=self.operand_scale,
             dtype=self.operand_dtype,
+            tile_rows=self.sum_tile_rows,
             kernel=self._kernel,
         )
-        return operand, code_sums
+        return operand, code_sums, delay_sums
 
-    def matmul(self, operand: np.ndarray, code_sums: np.ndarray) -> np.ndarray:
+    def matmul(
+        self,
+        operand: np.ndarray,
+        code_sums: np.ndarray,
+        delay_sums: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Drive the packed slices with converted inputs and recombine.
 
         ``operand`` is the ``(positions, n_groups * rows_needed)``
@@ -451,8 +467,11 @@ class PackedMatmul:
         tile and bit-cell slice of every group (a ``(G, positions, R)``
         view).  ``code_sums`` is the gather's ``(n_groups, positions)``
         exact integer code sum per group, the operand of the digital
-        offset removal.  Returns the signed dot products as
-        ``(positions, out_cols)``.
+        offset removal.  ``delay_sums`` is the gather's ``(row_tiles,
+        n_groups, positions)`` per-crossbar pulse-width sums over
+        :attr:`sum_tile_rows`-high row tiles — required by the noiseless
+        analog read-out, ignored otherwise.  Returns the signed dot
+        products as ``(positions, out_cols)``.
         """
         positions = operand.shape[0]
         # (G, positions, R): one leading matmul axis per weight-sharing group
@@ -474,10 +493,21 @@ class PackedMatmul:
             delays = grouped  # the DTC pulse widths themselves
             if self._jittered:
                 # the gather delivered integer-valued codes; the jittered
-                # DTC draws on them in the historical (G, P, R) shape/order
+                # DTC draws on them in the historical (G, P, R) shape/order,
+                # and the jittered pulses are summed per row tile once for
+                # the whole layer (each sum is per position, so chunking
+                # cannot change it)
                 delays = self.spec.dtc.convert(grouped, self._read_noise)
                 delays = delays.astype(self.compute_dtype, copy=False)
-            products = self._analog_products(delays, positions)
+                delay_sums = np.stack(
+                    [delays[:, :, r0 : r0 + h].sum(axis=2) for r0, h in self._row_spans]
+                )
+            elif delay_sums is None:
+                raise EngineError(
+                    "the noiseless analog read-out needs the gather's delay "
+                    "sums: pass im2col_pack(..., tile_rows=sum_tile_rows)[2]"
+                )
+            products = self._analog_products(delays, delay_sums)
 
         # Digital offset removal: every programmed weight carries ``+offset``,
         # so each group's columns over-count by ``offset * sum(group codes)``.
@@ -506,23 +536,21 @@ class PackedMatmul:
         )
         return max(1, min(positions, budget // max(1, per_position)))
 
-    def _chunk_buffers(self, chunk: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One reusable (charges, delay_sums) buffer pair for the chunk walk."""
-        dtype = self.compute_dtype
-        charges = np.empty(
+    def _chunk_buffer(self, chunk: int) -> np.ndarray:
+        """One reusable charge buffer for the chunk walk."""
+        return np.empty(
             (self.row_tiles, self.n_slices, self.n_groups, chunk, self.group_cols),
-            dtype=dtype,
+            dtype=self.compute_dtype,
         )
-        delay_sums = np.empty((self.row_tiles, 1, self.n_groups, chunk, 1), dtype=dtype)
-        return charges, delay_sums
 
     def _run_chunk(
         self,
         delays: np.ndarray,
+        delay_sums: np.ndarray,
         out: np.ndarray,
         p0: int,
         n: int,
-        buffers: Tuple[np.ndarray, np.ndarray],
+        charges: np.ndarray,
     ) -> None:
         """Charge, read out and recombine positions ``[p0, p0 + n)``.
 
@@ -533,55 +561,61 @@ class PackedMatmul:
         results byte-identical to serial ones.
         """
         spec = self.spec
-        charges, delay_sums = buffers
         block = charges[:, :, :, :n]
-        sums = delay_sums[:, :, :, :n]
         for rt, (r0, height) in enumerate(self._row_spans):
             d = delays[:, p0 : p0 + n, r0 : r0 + height]
-            sums[rt, 0, :, :, 0] = d.sum(axis=2)
             for s, conductances in enumerate(self._conductances):
                 np.matmul(d, conductances[:, r0 : r0 + height, :], out=block[rt, s])
-        block *= self.compute_dtype.type(spec.v_dd)
-        # the whole per-chunk chain — reference-column subtract, clips,
-        # phase-I/II conversion, optional early-TDC saturation and the
-        # slice-cascade recombination (sum over row tiles t, power-of-two
-        # weights over s) — in one dispatched kernel call, fully in place
-        # on the chunk buffer, accumulated straight into the output slice
+        # the whole per-chunk chain — V_DD phase-I charge scaling,
+        # reference-column subtract against the precomputed delay sums,
+        # clips, phase-I/II conversion, optional early-TDC saturation and
+        # the slice-cascade recombination (sum over row tiles t,
+        # power-of-two weights over s) — in one dispatched kernel call,
+        # fully in place on the raw ``delays @ G`` products of the chunk
+        # buffer, accumulated straight into the output slice
         readout_fused(
             block,
-            sums,
+            delay_sums[:, None, :, p0 : p0 + n, None],
             spec.scalars(),
             out=block,
             saturation=self._saturation,
             shifts=self.shifts,
             recombine_out=out[:, p0 : p0 + n],
+            charge_scale=spec.v_dd,
             kernel=self._kernel,
         )
 
     def _run_chunk_pooled(
         self,
         delays: np.ndarray,
+        delay_sums: np.ndarray,
         out: np.ndarray,
         p0: int,
         n: int,
-        buffer_pool: "queue.Queue[Tuple[np.ndarray, np.ndarray]]",
+        buffer_pool: "queue.Queue[np.ndarray]",
     ) -> None:
-        """Thread-pool task: borrow a buffer pair, run one chunk, return it."""
-        buffers = buffer_pool.get()
+        """Thread-pool task: borrow a charge buffer, run one chunk, return it."""
+        charges = buffer_pool.get()
         try:
-            self._run_chunk(delays, out, p0, n, buffers)
+            self._run_chunk(delays, delay_sums, out, p0, n, charges)
         finally:
-            buffer_pool.put(buffers)
+            buffer_pool.put(charges)
 
-    def _analog_products(self, delays: np.ndarray, positions: int) -> np.ndarray:
+    def _analog_products(
+        self, delays: np.ndarray, delay_sums: np.ndarray
+    ) -> np.ndarray:
         """Time-domain estimate of the grouped integer products.
 
         ``delays`` holds the ``(groups, positions, rows)`` DTC pulse widths
-        in the compute dtype.  One ``delays @ G`` matmul per (row tile,
-        slice) fills a charge tensor of shape ``(row_tiles, n_slices,
-        groups, chunk, group_cols)``; the
-        elementwise chain and the digital recombination — the sum over row
-        tiles and the power-of-two slice cascade — then run as one fused
+        in the compute dtype and ``delay_sums`` their ``(row_tiles, groups,
+        positions)`` sums over each row tile — precomputed (by the gather,
+        or once per layer from jittered pulses), so the chunk walk never
+        re-reads the operand to form them.  One ``delays @ G`` matmul per
+        (row tile, slice) fills a buffer of raw products of shape
+        ``(row_tiles, n_slices, groups, chunk, group_cols)``; everything
+        after the GEMMs — the V_DD scaling into phase-I charges, the
+        elementwise chain and the digital recombination (the sum over row
+        tiles and the power-of-two slice cascade) — then runs as one fused
         :func:`repro.kernels.dispatch.readout_fused` pass per chunk, fully
         in place on the chunk buffer (zero chain temporaries), accumulated
         straight into the ``(groups, positions, group_cols)`` output.
@@ -597,12 +631,13 @@ class PackedMatmul:
 
         With ``ctx.threads > 1`` (and more than one chunk) the chunks run
         concurrently on a bounded :class:`ThreadPoolExecutor` over a pool
-        of per-worker buffer pairs — the BLAS matmul and the compiled
+        of per-worker charge buffers — the BLAS matmul and the compiled
         read-out kernel both release the GIL, so the walk scales with
         cores.  The chunk split depends only on ``chunk_bytes`` and every
         chunk writes a disjoint output slice, so the result is
         byte-identical at any worker count.
         """
+        positions = delays.shape[1]
         chunk = self._position_chunk(positions)
         # float64 accumulator regardless of compute dtype: the slice/tile
         # recombination and the offset correction downstream cancel
@@ -613,18 +648,21 @@ class PackedMatmul:
         ]
         workers = min(self._threads, len(spans))
         if workers > 1:
-            buffer_pool: "queue.Queue[Tuple[np.ndarray, np.ndarray]]" = queue.Queue()
+            buffer_pool: "queue.Queue[np.ndarray]" = queue.Queue()
             for _ in range(workers):
-                buffer_pool.put(self._chunk_buffers(chunk))
+                buffer_pool.put(self._chunk_buffer(chunk))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(self._run_chunk_pooled, delays, out, p0, n, buffer_pool)
+                    pool.submit(
+                        self._run_chunk_pooled,
+                        delays, delay_sums, out, p0, n, buffer_pool,
+                    )
                     for p0, n in spans
                 ]
                 for future in futures:
                     future.result()
         else:
-            buffers = self._chunk_buffers(chunk)
+            charges = self._chunk_buffer(chunk)
             for p0, n in spans:
-                self._run_chunk(delays, out, p0, n, buffers)
+                self._run_chunk(delays, delay_sums, out, p0, n, charges)
         return out

@@ -100,8 +100,9 @@ def apply_aux_batched(
     (single-input layers receive a one-element list).  Applies the same
     :mod:`repro.nn.functional` kernels over the whole batch at once — image
     ``n``'s slice equals ``apply_aux_layer(inst, [a[n] for a in inputs],
-    params)`` exactly (pooling folds the batch into the channel axis, which
-    the per-channel kernels treat identically).  Shared by the crossbar
+    params)`` exactly (max pooling runs over any leading axes; average
+    pooling folds the batch into the channel axis, which the per-channel
+    kernel treats identically).  Shared by the crossbar
     executor and the batched float reference, so the two paths can only
     differ in the conv/FC dot products.
     """
@@ -113,8 +114,12 @@ def apply_aux_batched(
     if inst.kind == "pool":
         assert isinstance(layer, Pool2D)
         pad = _resolve_padding(layer.padding, layer.kernel)
-        pool = F.max_pool2d if layer.mode == "max" else F.avg_pool2d
-        pooled = pool(acts.reshape((-1,) + acts.shape[2:]), layer.kernel, layer.stride, pad)
+        if layer.mode == "max":
+            # strided passes over the batch in its own memory order
+            return F.max_pool2d(acts, layer.kernel, layer.stride, pad)
+        pooled = F.avg_pool2d(
+            acts.reshape((-1,) + acts.shape[2:]), layer.kernel, layer.stride, pad
+        )
         return pooled.reshape((n, acts.shape[1]) + pooled.shape[1:])
     if inst.kind == "bn":
         p = params[inst.name]

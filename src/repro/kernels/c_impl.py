@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.dispatch import ReadoutScalars
 
 #: must match repro_kernels_abi_version() in readout.c
-ABI_VERSION = 3
+ABI_VERSION = 4
 #: flags the bit-for-bit contract depends on (see module docstring)
 CFLAGS: Tuple[str, ...] = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -151,29 +151,22 @@ def _bind(path: Path) -> ctypes.CDLL:
         _i64, _i64, _i64, _i64, _i64,  # T, S, G, P, C
         _i64, _i64, _i64, _i64, _i64,  # charge strides
         _i64, _i64, _i64,  # delay_sum strides
+        _f64,  # charge scale
         _f64, _f64, _f64, _f64, _f64, _f64,  # chain scalars
         _f64, _i32,  # saturation, has_saturation
         _void_p, _void_p,  # shifts, rec_out
         _i64, _i64, _i64,  # rec_out strides
     ]
-    recombine = [
-        _void_p, _void_p,  # estimates, shifts
-        _i64, _i64, _i64, _i64, _i64,  # T, S, G, P, C
-        _i64, _i64, _i64, _i64, _i64,  # estimate strides
-        _void_p, _i64, _i64, _i64,  # rec_out + strides
-    ]
     gather = [
         _void_p, _i64, _i64, _i64, _i64,  # codes, N, CH, H, W
         _i64, _i64, _i64, _i64,  # code strides
         _i64, _i64, _i64, _i64, _i64,  # kernel, stride, pad, out_h, out_w
-        _i64, _f64,  # groups, scale
-        _void_p, _void_p,  # operand, sums
+        _i64, _f64, _i64,  # groups, scale, tile_rows
+        _void_p, _void_p, _void_p,  # operand, sums, delay_sums
     ]
     for name, argtypes in (
         ("readout_fused_f64", fused),
         ("readout_fused_f32", fused),
-        ("slice_recombine_f64", recombine),
-        ("slice_recombine_f32", recombine),
         ("im2col_gather_f64", gather),
         ("im2col_gather_f32", gather),
     ):
@@ -209,6 +202,25 @@ def _element_strides(a: np.ndarray) -> List[int]:
     return [s // a.itemsize for s in a.strides]
 
 
+def _einsum_adds_t_major(charges: np.ndarray) -> bool:
+    """Whether numpy's ``einsum("s,tsgpc->gpc")`` over ``charges`` adds
+    into each output element in the compiled kernel's t-major, s-inner
+    order.
+
+    It does while the (t, s) axes are the outer axes of the stack in memory
+    — the engine's chunk buffers always are — so einsum's iterator keeps a
+    (g, p, c) axis innermost.  Otherwise, and whenever the output has a
+    single element, einsum sums along t or s in an inner loop with its own
+    association order.  Size-1 axes never affect the order.
+    """
+    sized = [(abs(st), n > 1) for st, n in zip(charges.strides, charges.shape)]
+    outer = [st for st, big in sized[:2] if big]
+    inner = [st for st, big in sized[2:] if big]
+    if not inner:
+        return False
+    return outer == sorted(outer, reverse=True) and all(st >= max(inner) for st in outer)
+
+
 def _fast_path_ok(
     charges: np.ndarray,
     delay_sums: np.ndarray,
@@ -241,6 +253,8 @@ def _fast_path_ok(
     if shifts is not None:
         if recombine_out is None or recombine_out.dtype != np.float64:
             return False
+        if not _einsum_adds_t_major(charges):
+            return False
         if recombine_out.shape != (groups, pos, cols):
             return False
         if any(s % recombine_out.itemsize for s in recombine_out.strides):
@@ -258,6 +272,7 @@ def readout_fused(
     saturation: Optional[float] = None,
     shifts: Optional[np.ndarray] = None,
     recombine_out: Optional[np.ndarray] = None,
+    charge_scale: Optional[float] = None,
 ) -> np.ndarray:
     if not _fast_path_ok(charges, delay_sums, out, shifts, recombine_out):
         return numpy_impl.readout_fused(
@@ -268,6 +283,7 @@ def readout_fused(
             saturation=saturation,
             shifts=shifts,
             recombine_out=recombine_out,
+            charge_scale=charge_scale,
         )
     lib = load()
     if out is None:
@@ -297,6 +313,7 @@ def readout_fused(
         tiles, slices, groups, pos, cols,
         ch[0], ch[1], ch[2], ch[3], ch[4],
         ds[0], ds[2], ds[3],
+        1.0 if charge_scale is None else charge_scale,
         scalars.offset_coeff,
         scalars.capacitance_f,
         scalars.v_threshold,
@@ -312,41 +329,6 @@ def readout_fused(
     return work
 
 
-def slice_recombine(
-    shifts: np.ndarray, estimates: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    if (
-        not isinstance(estimates, np.ndarray)
-        or estimates.ndim != 5
-        or estimates.dtype not in _SUPPORTED
-        or out.dtype != np.float64
-        or out.shape != estimates.shape[2:]
-        or np.asarray(shifts).shape != (estimates.shape[1],)
-        or any(s % estimates.itemsize for s in estimates.strides)
-        or any(s % out.itemsize for s in out.strides)
-    ):
-        return numpy_impl.slice_recombine(shifts, estimates, out)
-    lib = load()
-    shift_weights = np.ascontiguousarray(np.asarray(shifts, dtype=np.float64))
-    tiles, slices, groups, pos, cols = estimates.shape
-    es = _element_strides(estimates)
-    rec_strides = _element_strides(out)
-    fn = (
-        lib.slice_recombine_f64
-        if estimates.dtype == np.float64
-        else lib.slice_recombine_f32
-    )
-    fn(
-        estimates.ctypes.data,
-        shift_weights.ctypes.data,
-        tiles, slices, groups, pos, cols,
-        es[0], es[1], es[2], es[3], es[4],
-        out.ctypes.data,
-        rec_strides[0], rec_strides[1], rec_strides[2],
-    )
-    return out
-
-
 def im2col_pack(
     codes: np.ndarray,
     kernel: int,
@@ -356,7 +338,8 @@ def im2col_pack(
     groups: int = 1,
     scale: float = 1.0,
     dtype: DTypeLike = np.float64,
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    tile_rows: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], int, int]:
     out_dtype = np.dtype(dtype)
     if (
         not isinstance(codes, np.ndarray)
@@ -372,7 +355,14 @@ def im2col_pack(
         or any(s % codes.itemsize for s in codes.strides)
     ):
         return numpy_impl.im2col_pack(
-            codes, kernel, stride, pad, groups=groups, scale=scale, dtype=dtype
+            codes,
+            kernel,
+            stride,
+            pad,
+            groups=groups,
+            scale=scale,
+            dtype=dtype,
+            tile_rows=tile_rows,
         )
     n, channels, height, width = codes.shape
     out_h = (height + 2 * pad - kernel) // stride + 1
@@ -383,13 +373,19 @@ def im2col_pack(
     positions = n * out_h * out_w
     operand = np.empty((positions, channels * kernel * kernel), dtype=out_dtype)
     sums = np.empty((groups, positions), dtype=np.int64)
+    delay_sums = None
+    if tile_rows is not None:
+        group_rows = channels // groups * kernel * kernel
+        row_tiles = -(-group_rows // tile_rows)
+        delay_sums = np.empty((row_tiles, groups, positions), dtype=out_dtype)
     st = _element_strides(codes)
     fn = lib.im2col_gather_f64 if out_dtype == np.float64 else lib.im2col_gather_f32
     fn(
         codes.ctypes.data, n, channels, height, width,
         st[0], st[1], st[2], st[3],
         kernel, stride, pad, out_h, out_w,
-        groups, float(scale),
+        groups, float(scale), 0 if tile_rows is None else tile_rows,
         operand.ctypes.data, sums.ctypes.data,
+        None if delay_sums is None else delay_sums.ctypes.data,
     )
-    return operand, sums, out_h, out_w
+    return operand, sums, delay_sums, out_h, out_w

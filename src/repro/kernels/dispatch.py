@@ -1,9 +1,10 @@
 """Runtime kernel dispatch: one entry point per hot loop, tiered backends.
 
 The engine's two hot loops — the fused time-domain read-out chain and the
-code-to-operand gather (im2col, DTC conversion and code row-sums in one
-pass) — are reachable only through this module.  An ordered registry of
-implementation tiers backs each entry point:
+code-to-operand gather (im2col, DTC conversion, code row-sums and
+per-row-tile delay sums in one pass) — are reachable only through this
+module.  An ordered registry of implementation tiers backs each entry
+point:
 
 ``c``
     Hand-written C (``readout.c``) compiled on first use with the system C
@@ -180,6 +181,7 @@ def readout_fused(
     saturation: Optional[float] = None,
     shifts: Optional[np.ndarray] = None,
     recombine_out: Optional[np.ndarray] = None,
+    charge_scale: Optional[float] = None,
     kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Fused phase-I/II read-out of raw column charges (plus recombination).
@@ -187,13 +189,15 @@ def readout_fused(
     The elementwise chain — G_min reference-column subtraction, zero clip,
     phase-I capacitor voltage, phase-II threshold-crossing time, LSB
     rescale — applied to ``charges`` against broadcastable ``delay_sums``,
-    in place when ``out`` aliases ``charges``.  ``saturation`` adds the
-    optional early-TDC clip (a fraction of ``scalars.dot_max``).  When
-    ``shifts`` (and ``recombine_out``) are given, ``charges`` must be the
-    packed ``(tiles, slices, groups, positions, cols)`` stack and the
-    power-of-two slice cascade is recombined into ``recombine_out`` in the
-    same pass.  Returns the chain result (the estimates, not the
-    recombination).
+    in place when ``out`` aliases ``charges``.  ``charge_scale`` (the
+    supply voltage V_DD) first turns raw ``delays @ G`` products into
+    phase-I charges, one multiply per element in the compute dtype.
+    ``saturation`` adds the optional early-TDC clip (a fraction of
+    ``scalars.dot_max``).  When ``shifts`` (and ``recombine_out``) are
+    given, ``charges`` must be the packed ``(tiles, slices, groups,
+    positions, cols)`` stack and the power-of-two slice cascade is
+    recombined into ``recombine_out`` in the same pass.  Returns the chain
+    result (the estimates, not the recombination).
     """
     return resolve(kernel)[1].readout_fused(
         charges,
@@ -203,17 +207,8 @@ def readout_fused(
         saturation=saturation,
         shifts=shifts,
         recombine_out=recombine_out,
+        charge_scale=charge_scale,
     )
-
-
-def slice_recombine(
-    shifts: np.ndarray,
-    estimates: np.ndarray,
-    out: np.ndarray,
-    kernel: Optional[str] = None,
-) -> np.ndarray:
-    """Digital slice/tile recombination (``einsum "s,tsgpc->gpc"``)."""
-    return resolve(kernel)[1].slice_recombine(shifts, estimates, out)
 
 
 def im2col_pack(
@@ -225,12 +220,13 @@ def im2col_pack(
     groups: int = 1,
     scale: float = 1.0,
     dtype: DTypeLike = np.float64,
+    tile_rows: Optional[int] = None,
     kernel: Optional[str] = None,
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], int, int]:
     """Quantised codes to crossbar operand in one read (TIMELY's O²IR).
 
     Reads the ``(N, C, H, W)`` integer code tensor once, at any strides,
-    and returns ``(operand, code_sums, out_h, out_w)``:
+    and returns ``(operand, code_sums, delay_sums, out_h, out_w)``:
 
     * ``operand`` — ``(N*out_h*out_w, C*k*k)`` C-contiguous, position-major
       im2col rows (channel-major ``(c, ki, kj)`` order, zero-padded
@@ -238,10 +234,25 @@ def im2col_pack(
       (the DTC pulse width when ``scale`` is the unit delay);
     * ``code_sums`` — ``(groups, N*out_h*out_w)`` exact int64 sums of each
       weight-sharing group's block of codes per position (the digital
-      offset correction's operand).
+      offset correction's operand);
+    * ``delay_sums`` — with ``tile_rows``, ``(row_tiles, groups,
+      N*out_h*out_w)`` sums in ``dtype`` of each group's operand row over
+      every ``tile_rows``-high row tile (the last one may be partial), in
+      numpy's pairwise ``sum(axis=2)`` order: the per-crossbar delay sums
+      the read-out's reference-column subtraction needs; ``None`` without
+      ``tile_rows``.
 
     An FC layer is the 1×1 window of an ``(N, features, 1, 1)`` tensor.
     """
+    if tile_rows is not None and tile_rows <= 0:
+        raise ValueError(f"tile_rows must be positive, got {tile_rows}")
     return resolve(kernel)[1].im2col_pack(
-        codes, kernel_size, stride, pad, groups=groups, scale=scale, dtype=dtype
+        codes,
+        kernel_size,
+        stride,
+        pad,
+        groups=groups,
+        scale=scale,
+        dtype=dtype,
+        tile_rows=tile_rows,
     )

@@ -33,16 +33,22 @@ def readout_fused(
     saturation: Optional[float] = None,
     shifts: Optional[np.ndarray] = None,
     recombine_out: Optional[np.ndarray] = None,
+    charge_scale: Optional[float] = None,
 ) -> np.ndarray:
     """The two-phase read-out chain, optionally fused with recombination.
 
     The chain body is the historical ``TimeDomainChainSpec.read_out``
     sequence, op for op (``scalars`` carries the same constants the spec
-    used to read off ``self``); ``saturation`` is the optional early-TDC
-    clip (a fraction of ``scalars.dot_max``) and ``shifts`` /
-    ``recombine_out`` the optional slice-cascade einsum — both exactly as
-    ``PackedMatmul._analog_products`` applied them after the chain.
+    used to read off ``self``); ``charge_scale`` is the engine's former
+    in-place ``block *= v_dd`` phase-I charge step ahead of it,
+    ``saturation`` the optional early-TDC clip (a fraction of
+    ``scalars.dot_max``) and ``shifts`` / ``recombine_out`` the optional
+    slice-cascade einsum — all exactly as ``PackedMatmul._analog_products``
+    applied them around the chain.
     """
+    if charge_scale is not None:
+        charges = np.multiply(charges, charges.dtype.type(charge_scale), out=out)
+        out = charges
     offset = scalars.offset_coeff * delay_sums
     net = np.subtract(charges, offset, out=out)
     np.clip(net, 0.0, None, out=net)
@@ -62,14 +68,6 @@ def readout_fused(
     return net
 
 
-def slice_recombine(
-    shifts: np.ndarray, estimates: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Digital slice/tile recombination: ``out[g,p,c] = sum_ts shifts[s] * e``."""
-    np.einsum("s,tsgpc->gpc", shifts, estimates, out=out)
-    return out
-
-
 def im2col_pack(
     codes: np.ndarray,
     kernel: int,
@@ -79,15 +77,19 @@ def im2col_pack(
     groups: int = 1,
     scale: float = 1.0,
     dtype: DTypeLike = np.float64,
-) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    tile_rows: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], int, int]:
     """Codes to crossbar operand: the historical engine composition.
 
     ``F.im2col_batch`` on the codes, the ``(positions, rows)`` reshape
-    copy, the cast to ``dtype``, the in-place DTC scale and the int64
-    per-group row sum, op for op as ``NetworkExecutor`` and
-    ``PackedMatmul.matmul`` used to chain them.  Returns ``(operand,
-    code_sums, out_h, out_w)``: ``operand`` is ``(N*positions, rows)``
-    C-contiguous and ``code_sums`` ``(groups, N*positions)`` int64.
+    copy, the cast to ``dtype``, the in-place DTC scale, the int64
+    per-group row sum and — with ``tile_rows`` — the per-row-tile
+    ``d.sum(axis=2)`` delay sums of each group, op for op as
+    ``NetworkExecutor`` and ``PackedMatmul`` used to chain them.  Returns
+    ``(operand, code_sums, delay_sums, out_h, out_w)``: ``operand`` is
+    ``(N*positions, rows)`` C-contiguous, ``code_sums`` ``(groups,
+    N*positions)`` int64 and ``delay_sums`` ``(row_tiles, groups,
+    N*positions)`` in ``dtype`` (``None`` without ``tile_rows``).
     """
     cols, out_h, out_w = F.im2col_batch(codes, kernel, stride=stride, pad=pad)
     n, positions, rows = cols.shape
@@ -98,4 +100,11 @@ def im2col_pack(
     operand *= operand.dtype.type(scale)
     grouped = flat.reshape(n * positions, groups, rows // groups)
     sums = grouped.sum(axis=2, dtype=np.int64).T.copy()
-    return operand, sums, out_h, out_w
+    delay_sums = None
+    if tile_rows is not None:
+        delays = operand.reshape(grouped.shape).transpose(1, 0, 2)
+        starts = range(0, delays.shape[2], tile_rows)
+        delay_sums = np.empty((len(starts),) + delays.shape[:2], dtype=operand.dtype)
+        for rt, r0 in enumerate(starts):
+            delay_sums[rt] = delays[:, :, r0 : r0 + tile_rows].sum(axis=2)
+    return operand, sums, delay_sums, out_h, out_w

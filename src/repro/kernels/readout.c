@@ -1,6 +1,7 @@
 /*
  * Compiled hot-path kernels: the time-domain read-out chain and the
- * code-to-operand gather (im2col + DTC conversion + code row-sums).
+ * code-to-operand gather (im2col + DTC conversion + code row-sums +
+ * per-row-tile delay sums).
  *
  * Bit-for-bit contract: every routine here must reproduce the numpy
  * reference in `repro.kernels.numpy_impl` exactly, element by element, in
@@ -18,7 +19,8 @@
  * All strides are in ELEMENTS, not bytes.
  *
  * The fused chain per element (matching TimeDomainChainSpec.read_out):
- *   v  = charge - offset_coeff * delay_sum     (reference-column subtract)
+ *   q  = charge * charge_scale                 (phase-I charge, x V_DD)
+ *   v  = q - offset_coeff * delay_sum          (reference-column subtract)
  *   v  = max(v, 0)                             (clip negative net charge)
  *   v /= capacitance                           (charge -> voltage)
  *   v  = v_threshold - v                       (phase-II headroom)
@@ -30,7 +32,18 @@
  * then the optional slice recombination accumulates
  *   rec_out[g,p,c] += shifts[s] * v            in t-major, s-inner order —
  * the exact accumulation order numpy's einsum "s,tsgpc->gpc" uses, which
- * the float64 bit-identity tests pin down.
+ * the float64 bit-identity tests pin down.  Without a charge scale the
+ * caller passes 1.0, and q = charge * 1 is exact.
+ *
+ * Pairwise-order contract of the delay sums: the gather's per-row-tile
+ * delay sums must equal numpy's `d.sum(axis=2)` over a contiguous row span
+ * bit for bit, so they reproduce numpy's pairwise summation exactly —
+ * spans below 8 elements add sequentially from -0.0; spans of 8..128 use
+ * 8 accumulators seeded with the first 8 elements, combined as
+ * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then add the remainder; longer
+ * spans split at n/2 rounded down to a multiple of 8 and recurse.  The
+ * result is added to the reduction's +0.0 identity.  Every step
+ * accumulates in REAL (float32 sums stay float32, as numpy's do).
  *
  * The loops touch disjoint data per (t, s, g, p) row, carry no global
  * state, and are called through ctypes (which releases the GIL), so they
@@ -49,7 +62,7 @@
 
 /* Bumped whenever a signature changes; the loader refuses mismatches so a
  * stale cached .so can never be called with the wrong ABI. */
-API int64_t repro_kernels_abi_version(void) { return 3; }
+API int64_t repro_kernels_abi_version(void) { return 4; }
 
 #define DEFINE_READOUT_FUSED(NAME, REAL)                                       \
 API void NAME(                                                                 \
@@ -58,7 +71,8 @@ API void NAME(                                                                 \
     int64_t n_pos, int64_t n_cols,                                             \
     int64_t ch_st, int64_t ch_ss, int64_t ch_sg, int64_t ch_sp, int64_t ch_sc, \
     int64_t ds_st, int64_t ds_sg, int64_t ds_sp,                               \
-    double offset_coeff_d, double capacitance_d, double v_threshold_d,         \
+    double charge_scale_d, double offset_coeff_d,                              \
+    double capacitance_d, double v_threshold_d,                                \
     double phase2_scale_d, double full_scale_d, double lsb_d,                  \
     double saturation_d, int32_t has_saturation,                               \
     const double *shifts, double *rec_out,                                     \
@@ -66,6 +80,7 @@ API void NAME(                                                                 \
 {                                                                              \
     /* numpy binds python-float scalars to the array dtype (NEP 50), so    */  \
     /* every chain constant is narrowed exactly once, up front.            */  \
+    REAL charge_scale = (REAL)charge_scale_d;                                  \
     REAL offset_coeff = (REAL)offset_coeff_d;                                  \
     REAL capacitance = (REAL)capacitance_d;                                    \
     REAL v_threshold = (REAL)v_threshold_d;                                    \
@@ -93,7 +108,8 @@ API void NAME(                                                                 \
                     double *orow = (shifts != NULL)                            \
                         ? rec_out + g * rec_sg + p * rec_sp : NULL;            \
                     for (c = 0; c < n_cols; ++c) {                             \
-                        REAL v = row[c * ch_sc] - offset;                      \
+                        REAL q = row[c * ch_sc] * charge_scale;                \
+                        REAL v = q - offset;                                   \
                         if (v < (REAL)0.0) v = (REAL)0.0;                      \
                         v /= capacitance;                                      \
                         v = v_threshold - v;                                   \
@@ -113,39 +129,31 @@ API void NAME(                                                                 \
 DEFINE_READOUT_FUSED(readout_fused_f64, double)
 DEFINE_READOUT_FUSED(readout_fused_f32, float)
 
-/* Standalone slice recombination (the einsum "s,tsgpc->gpc"), t-major with
- * the slice loop inner — the accumulation order numpy uses. */
-#define DEFINE_SLICE_RECOMBINE(NAME, REAL)                                     \
-API void NAME(                                                                 \
-    const REAL *estimates, const double *shifts,                               \
-    int64_t n_tiles, int64_t n_slices, int64_t n_groups,                       \
-    int64_t n_pos, int64_t n_cols,                                             \
-    int64_t es_st, int64_t es_ss, int64_t es_sg, int64_t es_sp, int64_t es_sc, \
-    double *rec_out, int64_t rec_sg, int64_t rec_sp, int64_t rec_sc)           \
+/* numpy's pairwise summation of n contiguous REALs (see the header's
+ * pairwise-order contract): the exact order `d.sum(axis=2)` adds in. */
+#define DEFINE_PAIRWISE_SUM(NAME, REAL)                                        \
+static REAL NAME(const REAL *a, int64_t n)                                     \
 {                                                                              \
-    int64_t t, s, g, p, c;                                                     \
-    for (g = 0; g < n_groups; ++g)                                             \
-        for (p = 0; p < n_pos; ++p) {                                          \
-            double *orow = rec_out + g * rec_sg + p * rec_sp;                  \
-            for (c = 0; c < n_cols; ++c)                                       \
-                orow[c * rec_sc] = 0.0;                                        \
-        }                                                                      \
-    for (t = 0; t < n_tiles; ++t)                                              \
-        for (s = 0; s < n_slices; ++s) {                                       \
-            double weight = shifts[s];                                         \
-            for (g = 0; g < n_groups; ++g)                                     \
-                for (p = 0; p < n_pos; ++p) {                                  \
-                    const REAL *row = estimates +                              \
-                        t * es_st + s * es_ss + g * es_sg + p * es_sp;         \
-                    double *orow = rec_out + g * rec_sg + p * rec_sp;          \
-                    for (c = 0; c < n_cols; ++c)                               \
-                        orow[c * rec_sc] += weight * (double)row[c * es_sc];   \
-                }                                                              \
-        }                                                                      \
+    int64_t i = 0, k, half = n / 2 - (n / 2) % 8;                              \
+    REAL res = (REAL)-0.0, r[8];                                               \
+    if (n > 128)                                                               \
+        return NAME(a, half) + NAME(a + half, n - half);                       \
+    if (n >= 8) {                                                              \
+        for (k = 0; k < 8; ++k)                                                \
+            r[k] = a[k];                                                       \
+        for (i = 8; i < n - (n % 8); i += 8)                                   \
+            for (k = 0; k < 8; ++k)                                            \
+                r[k] += a[i + k];                                              \
+        res = ((r[0] + r[1]) + (r[2] + r[3])) +                                \
+              ((r[4] + r[5]) + (r[6] + r[7]));                                 \
+    }                                                                          \
+    for (; i < n; ++i)                                                         \
+        res += a[i];                                                           \
+    return res;                                                                \
 }
 
-DEFINE_SLICE_RECOMBINE(slice_recombine_f64, double)
-DEFINE_SLICE_RECOMBINE(slice_recombine_f32, float)
+DEFINE_PAIRWISE_SUM(pairwise_sum_f64, double)
+DEFINE_PAIRWISE_SUM(pairwise_sum_f32, float)
 
 /* The only-once input read (O2IR): quantised codes -> crossbar operand.
  *
@@ -157,24 +165,31 @@ DEFINE_SLICE_RECOMBINE(slice_recombine_f32, float)
  * with zero-padded borders, while the exact integer code sum of each
  * weight-sharing group's rows accumulates into
  *   sums    (groups, N*out_h*out_w)  C-contiguous int64.
+ * With tile_rows > 0, each finished operand row — still in L1 — is also
+ * reduced per group and per tile_rows-high row tile (the last tile of a
+ * group may be partial) into
+ *   delay_sums (ceil(CH/groups*K*K / tile_rows), groups, N*out_h*out_w)
+ * C-contiguous REAL, in numpy's pairwise order; with tile_rows == 0 the
+ * delay_sums pointer is never touched.
  * Byte-identical to the numpy reference (im2col, astype, *= scale, int64
- * row sum): the cast and the single multiply round exactly as numpy's do.
- * Callers guarantee ch % groups == 0. */
-#define DEFINE_IM2COL_GATHER(NAME, REAL)                                       \
+ * row sum, per-tile `sum(axis=2)`): the cast and the single multiply round
+ * exactly as numpy's do.  Callers guarantee ch % groups == 0. */
+#define DEFINE_IM2COL_GATHER(NAME, REAL, PAIRWISE)                             \
 API void NAME(                                                                 \
     const int64_t *codes, int64_t n, int64_t ch, int64_t h, int64_t w,         \
     int64_t st_n, int64_t st_c, int64_t st_h, int64_t st_w,                    \
     int64_t kernel, int64_t stride, int64_t pad,                               \
     int64_t out_h, int64_t out_w, int64_t groups, double scale_d,              \
-    REAL *operand, int64_t *sums)                                              \
+    int64_t tile_rows, REAL *operand, int64_t *sums, REAL *delay_sums)         \
 {                                                                              \
     REAL scale = (REAL)scale_d;                                                \
     REAL zero = (REAL)0.0 * scale;                                             \
     int64_t kk = kernel * kernel;                                              \
     int64_t row_len = ch * kk;                                                 \
     int64_t group_ch = ch / groups;                                            \
+    int64_t group_rows = group_ch * kk;                                        \
     int64_t positions = n * out_h * out_w;                                     \
-    int64_t img, oh, ow, g, c, ki, kj;                                         \
+    int64_t img, oh, ow, g, c, ki, kj, r0;                                     \
     for (img = 0; img < n; ++img)                                              \
         for (oh = 0; oh < out_h; ++oh)                                         \
             for (ow = 0; ow < out_w; ++ow) {                                   \
@@ -201,12 +216,21 @@ API void NAME(                                                                 \
                         }                                                      \
                     }                                                          \
                     sums[g * positions + p] = acc;                             \
+                    if (tile_rows > 0)                                         \
+                        for (r0 = 0; r0 < group_rows; r0 += tile_rows) {       \
+                            int64_t height = group_rows - r0 < tile_rows       \
+                                ? group_rows - r0 : tile_rows;                 \
+                            delay_sums[((r0 / tile_rows) * groups + g)         \
+                                       * positions + p] =                      \
+                                (REAL)0.0 + PAIRWISE(                          \
+                                    row + g * group_rows + r0, height);        \
+                        }                                                      \
                 }                                                              \
             }                                                                  \
 }
 
-DEFINE_IM2COL_GATHER(im2col_gather_f64, double)
-DEFINE_IM2COL_GATHER(im2col_gather_f32, float)
+DEFINE_IM2COL_GATHER(im2col_gather_f64, double, pairwise_sum_f64)
+DEFINE_IM2COL_GATHER(im2col_gather_f32, float, pairwise_sum_f32)
 
 #ifdef REPRO_BUILD_PYMODULE
 /* Optional CPython module shell so `pip install .` can build this file as

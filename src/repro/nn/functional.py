@@ -199,12 +199,40 @@ def fully_connected(
 
 
 def max_pool2d(x: np.ndarray, kernel: int, stride: int = 0, pad: int = 0) -> np.ndarray:
-    """Max pooling of a (C, H, W) tensor.
+    """Max pooling over the two trailing axes of a (..., H, W) tensor.
 
-    Padded positions are filled with ``-inf`` so an all-negative window is
-    not corrupted by the padding value.
+    Padded positions count as ``-inf`` so an all-negative window is not
+    corrupted by the padding value.  Runs as ``kernel**2`` strided
+    ``np.maximum`` passes, one per window offset over the in-bounds part of
+    the input, accumulated in the input's own memory order (a channels-last
+    batch is neither reshaped, padded nor windowed into a copy); the result
+    is then copied once into a C-contiguous float array.  Max is exact, so
+    this equals the per-window reduction of :func:`_pool2d` bit for bit.
     """
-    return _pool2d(x, kernel, stride, np.max, pad, fill=-np.inf)
+    x = np.asarray(x)
+    *lead, height, width = x.shape
+    out_h, out_w, stride = _pool_geometry(height, width, kernel, stride, pad)
+    shape = (*lead, out_h, out_w)
+    order = np.argsort(np.abs(x.strides), kind="stable")[::-1]  # outer first
+    acc = np.full([shape[a] for a in order], -np.inf).transpose(np.argsort(order))
+    for ki in range(kernel):
+        rows, src_rows = _pool_span(ki, out_h, height, stride, pad)
+        for kj in range(kernel):
+            cols, src_cols = _pool_span(kj, out_w, width, stride, pad)
+            window = acc[..., rows, cols]
+            np.maximum(window, x[..., src_rows, src_cols], out=window)
+    return np.ascontiguousarray(acc)
+
+
+def _pool_span(
+    offset: int, out_len: int, size: int, stride: int, pad: int
+) -> Tuple[slice, slice]:
+    """Output slice whose window ``offset`` lands inside ``[0, size)``, and
+    the matching strided input slice."""
+    lo = max(0, -((offset - pad) // stride))
+    hi = max(lo, min(out_len, (size - 1 + pad - offset) // stride + 1))
+    start = lo * stride - pad + offset
+    return slice(lo, hi), slice(start, start + (hi - lo) * stride, stride)
 
 
 def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 0, pad: int = 0) -> np.ndarray:
@@ -216,13 +244,13 @@ def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 0, pad: int = 0) -> np.
     return _pool2d(x, kernel, stride, np.mean, pad, fill=0.0)
 
 
-def _pool2d_padded(
-    x: np.ndarray, kernel: int, stride: int, pad: int, fill: float
-) -> Tuple[np.ndarray, int, int, int]:
-    """Shared validation + padding of the pooling implementations.
+def _pool_geometry(
+    height: int, width: int, kernel: int, stride: int, pad: int
+) -> Tuple[int, int, int]:
+    """Shared validation of the pooling implementations.
 
-    Returns the (possibly padded) input, the output dimensions and the
-    normalised stride (``stride == 0`` means "same as kernel").
+    Returns the output dimensions and the normalised stride (``stride ==
+    0`` means "same as kernel").
     """
     stride = stride if stride > 0 else kernel
     if pad < 0:
@@ -232,7 +260,23 @@ def _pool2d_padded(
             f"pad ({pad}) may be at most half the kernel ({kernel}); larger "
             "padding creates windows made entirely of padding"
         )
+    out_h = (height + 2 * pad - kernel) // stride + 1
+    out_w = (width + 2 * pad - kernel) // stride + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError("pooling window does not fit the input")
+    return out_h, out_w, stride
+
+
+def _pool2d_padded(
+    x: np.ndarray, kernel: int, stride: int, pad: int, fill: float
+) -> Tuple[np.ndarray, int, int, int]:
+    """Validation + padding of the window-view pooling implementations.
+
+    Returns the (possibly padded) input, the output dimensions and the
+    normalised stride.
+    """
     channels, height, width = x.shape
+    out_h, out_w, stride = _pool_geometry(height, width, kernel, stride, pad)
     if pad > 0:
         # float cast: integer inputs cannot hold the -inf fill of max pooling
         x = np.pad(
@@ -241,10 +285,6 @@ def _pool2d_padded(
             mode="constant",
             constant_values=fill,
         )
-    out_h = (height + 2 * pad - kernel) // stride + 1
-    out_w = (width + 2 * pad - kernel) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError("pooling window does not fit the input")
     return x, out_h, out_w, stride
 
 

@@ -72,10 +72,11 @@ def quantize_unsigned_batch(x: np.ndarray, bits: int) -> tuple:
         raise ValueError("batched quantisation needs a leading batch axis")
     qmax = 2 ** bits - 1
     if x.size:
-        flat = x.reshape(x.shape[0], -1)
-        if float(flat.min()) < 0:
+        # range scan on x itself: a reshape would copy a channels-last
+        # activation, and min/max are exact in any traversal order
+        if float(x.min()) < 0:
             raise ValueError("unsigned quantisation requires non-negative inputs")
-        maxes = flat.max(axis=1)
+        maxes = x.max(axis=tuple(range(1, x.ndim)))
     else:
         maxes = np.zeros(x.shape[0])
     scales = np.where(maxes > 0, maxes / qmax, 1.0)

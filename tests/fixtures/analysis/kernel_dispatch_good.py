@@ -2,11 +2,11 @@
 
 from repro.kernels import dispatch
 from repro.kernels import im2col_pack, readout_fused
-from repro.kernels.dispatch import ReadoutScalars, slice_recombine
+from repro.kernels.dispatch import ReadoutScalars, default_kernel
 
 
 def run(charges, delay_sums, scalars: ReadoutScalars):
     out = readout_fused(charges, delay_sums, scalars)
-    operand, _, _, _ = im2col_pack(charges[0, 0], 3, stride=1, pad=1)
-    assert dispatch.slice_recombine is slice_recombine
+    operand, _, _, _, _ = im2col_pack(charges[0, 0], 3, stride=1, pad=1)
+    assert dispatch.default_kernel is default_kernel
     return out, operand

@@ -27,7 +27,6 @@ from repro.kernels.dispatch import (
     im2col_pack,
     readout_fused,
     resolve,
-    slice_recombine,
 )
 from repro.nn import functional as F
 from repro.nn.layers import TensorShape
@@ -146,16 +145,31 @@ def test_tier_handles_empty_blocks(tier):
     assert got.shape == charges.shape and got.size == 0
 
 
-@pytest.mark.parametrize("tier", COMPILED)
-def test_slice_recombine_matches_numpy(tier):
-    rng = np.random.default_rng(stable_seed("kernels", "recombine"))
-    estimates = rng.random((3, 2, 2, 19, 7))
-    shifts = _shifts()
-    ref = np.empty((2, 19, 7))
-    got = np.empty((2, 19, 7))
-    slice_recombine(shifts, estimates, ref, kernel="numpy")
-    slice_recombine(shifts, estimates, got, kernel=tier)
-    np.testing.assert_array_equal(got, ref)
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize(
+    "shape,reversed_layout",
+    [((3, 3, 1, 1, 1), False), ((2, 2, 1, 1, 2), True), ((3, 2, 2, 3, 2), True)],
+)
+def test_recombination_matches_numpy_outside_the_engine_layout(
+    tier, shape, reversed_layout
+):
+    """Regression: numpy's einsum sums along t or s in an inner loop, with
+    its own association order, for a one-element output or a stack whose
+    (t, s) axes are not outermost in memory; the compiled recombination
+    (t-major, s-inner) must hand those cases to numpy instead of differing
+    in the last bit."""
+    rng = np.random.default_rng(stable_seed("kernels", "einsum-order", *shape))
+    tiles, slices, groups, pos, cols = shape
+    for _ in range(50):
+        charges = rng.random(shape[::-1] if reversed_layout else shape) * 2e-12
+        if reversed_layout:
+            charges = charges.transpose()
+        delay_sums = rng.random((tiles, 1, groups, pos, 1)) * 4e-7
+        ref, got = np.empty(shape[2:]), np.empty(shape[2:])
+        args = dict(shifts=_shifts(slices), saturation=None)
+        readout_fused(charges, delay_sums, SCALARS, recombine_out=ref, **args, kernel="numpy")
+        readout_fused(charges, delay_sums, SCALARS, recombine_out=got, **args, kernel=tier)
+        assert got.tobytes() == ref.tobytes()
 
 
 # -- float32: within float rounding of the numpy float32 chain ----------------
@@ -187,10 +201,10 @@ def _codes(shape, seed, channels_last=False):
 
 
 def _assert_same_gather(got, ref):
-    for a, b in zip(got[:2], ref[:2]):
+    for a, b in zip(got[:3], ref[:3]):
         assert a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
         assert a.tobytes() == b.tobytes()
-    assert got[2:] == ref[2:]
+    assert got[3:] == ref[3:]
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -207,18 +221,24 @@ def test_im2col_matches_numpy(tier, shape, kernel, stride, pad):
     for channels_last in (False, True):
         codes = _codes(shape, (kernel, stride), channels_last)
         for dtype in (np.float64, np.float32):
-            args = dict(scale=5e-11, dtype=dtype)
+            args = dict(scale=5e-11, dtype=dtype, tile_rows=4)
             ref = im2col_pack(codes, kernel, stride, pad, **args, kernel="numpy")
             got = im2col_pack(codes, kernel, stride, pad, **args, kernel=tier)
             _assert_same_gather(got, ref)
             # the operand is the historical im2col matrix, DTC-scaled
             cols, out_h, out_w = F.im2col_batch(codes, kernel, stride, pad)
-            assert got[2:] == (out_h, out_w)
+            assert got[3:] == (out_h, out_w)
             flat = cols.reshape(-1, cols.shape[2])
             np.testing.assert_array_equal(
                 got[0], flat.astype(dtype) * np.dtype(dtype).type(5e-11)
             )
             np.testing.assert_array_equal(got[1], flat.sum(axis=1)[None])
+            # the delay sums are the historical per-row-tile d.sum(axis=2)
+            delays = got[0][None]
+            np.testing.assert_array_equal(
+                got[2],
+                [delays[:, :, r0 : r0 + 4].sum(axis=2) for r0 in range(0, delays.shape[2], 4)],
+            )
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -255,6 +275,85 @@ def test_engine_conv_reaches_the_compiled_gather(monkeypatch):
     assert len(calls) == len(network.compute_instances)
 
 
+class _Spied(np.ndarray):
+    """An array view that fails on any add-reduction or multiply over it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if (ufunc is np.add and method == "reduce") or ufunc is np.multiply:
+            raise AssertionError(f"{ufunc.__name__}.{method} over a spied array")
+        plain = tuple(a.view(np.ndarray) if isinstance(a, _Spied) else a for a in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(
+                o.view(np.ndarray) if isinstance(o, _Spied) else o for o in kwargs["out"]
+            )
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.skipif("c" not in TIERS, reason="compiled tier not buildable here")
+def test_noiseless_conv_reads_gather_sums_and_scales_in_the_readout(monkeypatch):
+    """On ``kernel="c"`` the noiseless analog read-out receives the gather's
+    delay sums and the V_DD charge scale: no ``sum`` over the delays and no
+    separate ``*= v_dd`` pass over the charge buffer runs.
+
+    Guards the bug class where the engine quietly re-derives the delay sums
+    per chunk, or scales the charge tensor in an extra pass, while every
+    output stays bit-identical.
+    """
+    from repro.engine import executor as executor_mod
+    from repro.engine import packed as packed_mod
+
+    gathered, readouts = [], []
+    real_gather, real_readout = executor_mod.im2col_pack, packed_mod.readout_fused
+
+    def gather(*args, **kwargs):
+        operand, code_sums, delay_sums, out_h, out_w = real_gather(*args, **kwargs)
+        gathered.append(delay_sums)
+        return operand.view(_Spied), code_sums, delay_sums, out_h, out_w
+
+    def readout(charges, delay_sums, scalars, **kwargs):
+        readouts.append((delay_sums, kwargs["charge_scale"]))
+        return real_readout(charges, delay_sums, scalars, **kwargs)
+
+    real_buffer = packed_mod.PackedMatmul._chunk_buffer
+
+    def spied_buffer(self, chunk):
+        return real_buffer(self, chunk).view(_Spied)
+
+    monkeypatch.setattr(executor_mod, "im2col_pack", gather)
+    monkeypatch.setattr(packed_mod, "readout_fused", readout)
+    monkeypatch.setattr(packed_mod.PackedMatmul, "_chunk_buffer", spied_buffer)
+    network = build_model("resnet_smoke")
+    ctx = SimContext(kernel="c", chunk_bytes=1 << 16)
+    executor = NetworkExecutor(network, ctx)
+    executor.run(executor.random_batch(2), validate=False)
+
+    v_dd = TimeDomainChainSpec.from_context(ctx).v_dd
+    assert len(gathered) == len(network.compute_instances)
+    assert len(readouts) > len(gathered)  # chunked: several reads per layer
+    for delay_sums, charge_scale in readouts:
+        assert charge_scale == v_dd
+        assert any(np.shares_memory(delay_sums, sums) for sums in gathered)
+
+
+@pytest.mark.parametrize("model", ["resnet_smoke", "cnn_1"])
+@pytest.mark.skipif("c" not in TIERS, reason="compiled tier not buildable here")
+def test_whole_network_c_and_numpy_tiers_are_bitwise_equal_f64(model):
+    network = build_model(model)
+    outputs = []
+    for tier in ("numpy", "c"):
+        executor = NetworkExecutor(network, SimContext(kernel=tier, seed=5))
+        outputs.append(executor.run(executor.random_batch(2), validate=False).output)
+    assert outputs[0].dtype == outputs[1].dtype == np.float64
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+
+
+def test_gather_rejects_non_positive_tile_rows():
+    codes = np.zeros((1, 1, 2, 2), dtype=np.int64)
+    for tier in TIERS:
+        with pytest.raises(ValueError, match="tile_rows"):
+            im2col_pack(codes, 1, tile_rows=0, kernel=tier)
+
+
 # -- the gather in the engine: byte-identical to the historical chain ---------
 
 
@@ -281,7 +380,10 @@ def _historical_matmul(packed, codes):
         else:
             delays = grouped.astype(dtype)
             delays *= dtype.type(spec.dtc.t_del_s)
-        products = packed._analog_products(delays, positions)
+        delay_sums = np.stack(
+            [delays[:, :, r0 : r0 + h].sum(axis=2) for r0, h in packed._row_spans]
+        )
+        products = packed._analog_products(delays, delay_sums)
     correction = packed.offset * grouped.sum(axis=2, dtype=np.int64)
     np.subtract(products, correction[:, :, None], out=products)
     return np.ascontiguousarray(products.transpose(1, 0, 2)).reshape(

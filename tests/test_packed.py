@@ -97,6 +97,19 @@ def test_packed_rejects_bad_weights_and_codes():
         packed.gather(np.zeros((2, 5), dtype=int))  # wrong row count
 
 
+def test_noiseless_analog_matmul_needs_the_gather_delay_sums():
+    """The chunk walk has no per-chunk sum of its own to fall back on."""
+    packed = PackedMatmul(np.zeros((4, 4), dtype=int), SimContext())
+    operand, code_sums, delay_sums = packed.gather(np.ones((2, 4), dtype=int))
+    assert delay_sums.shape == (1, 1, 2)  # (row_tiles, groups, positions)
+    with pytest.raises(EngineError, match="delay sums"):
+        packed.matmul(operand, code_sums)
+    # ideal mode and a jittered DTC need none from the gather
+    assert PackedMatmul(np.zeros((4, 4), dtype=int), SimContext(), "ideal").gather(
+        np.ones((2, 4), dtype=int)
+    )[2] is None
+
+
 def test_packed_stores_true_size_not_padded_tiles():
     """Partial tiles live at their true height x width in the packed tensors."""
     arch = ArchSpec()  # 256x256, 2 slices per 8-bit weight
