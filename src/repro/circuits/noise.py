@@ -26,14 +26,30 @@ exclusively.  *Unsalted* draws — the circuit blocks' legacy
 per-config fallback stream (itself derived from the seed), so successive
 hops/slices/calls stay decorrelated as the Gaussian error model requires;
 that fallback never backs any engine draw.
+
+Programming variation is ``G * (1 + sigma * z)`` with ``z`` a unit normal.
+numpy's ``Generator.normal(0, sigma)`` computes ``0 + sigma * z`` from
+exactly the bits ``standard_normal`` consumes, so the variation pass draws
+``standard_normal`` and turns it into ``G * (1 + sigma * z)`` in place in
+that one float64 buffer — the same realisation, bit for bit.  A Monte-Carlo
+trial's noise seed does not depend on its noise scale or stuck fraction, so
+every scale of one trial draws the same unit normals; inside the sweep's
+trial loops (:func:`shared_unit_draws`) those draws are memoised per trial,
+keyed by the stream's full generator state and the shape, so a hit is
+exactly the draw the stream would have made.  On a hit the stream's
+generator jumps to the state it would have reached by drawing, so every
+later draw from it is unchanged.  Outside those loops no memo exists and
+every draw is fresh.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -124,23 +140,108 @@ class NoiseBudget:
         return self.accumulated_error_ps <= self.total_margin_ps
 
 
-def _conductance_variation(
-    sampler: Callable[[float, Tuple[int, ...]], np.ndarray],
-    sigma: float,
-    conductances: np.ndarray,
-) -> np.ndarray:
-    """Shared ``G * (1 + eps)`` programming-variation kernel, clipped at zero.
+def _frozen(value: Any) -> Hashable:
+    """A hashable snapshot of a bit-generator state (nested dicts of ints)."""
+    if isinstance(value, dict):
+        return tuple((key, _frozen(item)) for key, item in sorted(value.items()))
+    return value
 
-    The draw itself always happens in float64 (so the realisation is
-    bit-identical regardless of the storage precision), then the product is
-    cast back to the input's dtype — a float32 conductance tensor stays
-    float32 instead of silently doubling under the noise multiply.
+
+class SharedUnitDraws:
+    """One Monte-Carlo trial's unit-normal programming draws.
+
+    Keyed by the drawing generator's full state plus the shape, so a hit is
+    exactly the draw that generator would have made; the value is the
+    read-only draw and the generator state after it.  :meth:`begin` names
+    the trial being run and drops every draw of a previous trial, so the
+    memo holds at most one trial's draws (the trial's conductance tensors
+    in float64).
+    """
+
+    __slots__ = ("_scope", "_draws")
+
+    def __init__(self) -> None:
+        self._scope: Hashable = None
+        self._draws: Dict[Hashable, Tuple[np.ndarray, Dict[str, Any]]] = {}
+
+    def __len__(self) -> int:
+        return len(self._draws)
+
+    def begin(self, scope: Hashable) -> None:
+        """Enter trial ``scope``; a different scope clears the memo."""
+        if scope != self._scope:
+            self._draws.clear()
+            self._scope = scope
+
+    def draw(self, rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
+        """``rng.standard_normal(shape)``, served from the memo on a hit.
+
+        A hit advances ``rng`` to the state the draw would have left it in.
+        The returned array is shared and read-only.
+        """
+        key = (_frozen(rng.bit_generator.state), shape)
+        hit = self._draws.get(key)
+        if hit is not None:
+            unit, after = hit
+            rng.bit_generator.state = after
+            return unit
+        unit = rng.standard_normal(shape)
+        unit.flags.writeable = False
+        self._draws[key] = (unit, rng.bit_generator.state)
+        return unit
+
+
+#: the memo of the enclosing sweep trial loop; ``None`` everywhere else
+_SHARED_DRAWS: ContextVar[Optional[SharedUnitDraws]] = ContextVar(
+    "repro_shared_unit_draws", default=None
+)
+
+
+@contextmanager
+def shared_unit_draws() -> Iterator[SharedUnitDraws]:
+    """Share unit-normal programming draws across one trial's runs.
+
+    The sweep's trial loops run inside this scope and call
+    :meth:`SharedUnitDraws.begin` with each run's trial; every noise scale
+    and stuck fraction of one trial then scales the same unit draws
+    instead of redrawing them.  Rows are unchanged — a hit is bitwise the
+    draw the stream would have made.
+    """
+    memo = SharedUnitDraws()
+    token = _SHARED_DRAWS.set(memo)
+    try:
+        yield memo
+    finally:
+        _SHARED_DRAWS.reset(token)
+        memo._draws.clear()
+
+
+def _conductance_variation(
+    rng: np.random.Generator, sigma: float, conductances: np.ndarray
+) -> np.ndarray:
+    """Shared ``G * (1 + sigma * z)`` programming-variation kernel, clipped
+    at zero.
+
+    The draw and product happen in float64 in one buffer (so the
+    realisation is bit-identical regardless of the storage precision), then
+    the result is cast back to the input's dtype — a float32 conductance
+    tensor stays float32 instead of silently doubling under the noise
+    multiply.  The output is C-ordered and a fresh array.  Bitwise equal to
+    ``clip((G * (1 + rng.normal(0, sigma))).astype(G.dtype), 0)``: only the
+    sign of a zero ``sigma * z`` differs, and the ``+ 1`` erases it.
     """
     if sigma <= 0:
         return conductances
-    variation = sampler(sigma, conductances.shape)
-    noisy = (conductances * (1.0 + variation)).astype(conductances.dtype, copy=False)
-    return np.clip(noisy, 0.0, None, out=noisy)
+    memo = _SHARED_DRAWS.get()
+    if memo is None:
+        noisy = rng.standard_normal(conductances.shape)
+        noisy *= sigma
+    else:
+        noisy = np.multiply(memo.draw(rng, conductances.shape), sigma)
+    noisy += 1.0
+    noisy *= conductances
+    noisy = noisy.astype(conductances.dtype, copy=False)
+    return np.maximum(noisy, 0.0, out=noisy)
 
 
 @dataclass
@@ -262,10 +363,14 @@ class HardwareNoiseConfig:
             return np.zeros(shape) if shape is not None else np.array(0.0)
         parts = salt if isinstance(salt, tuple) else (salt,)
         if not parts:
-            if self._fallback is None:
-                self._fallback = self.stream("unsalted")
-            return self._fallback.sample(sigma, shape)
+            return self._unsalted().sample(sigma, shape)
         return self.derived_rng(*parts).normal(0.0, sigma, size=shape)
+
+    def _unsalted(self) -> "NoiseStream":
+        """The lazily created fallback stream behind unsalted draws."""
+        if self._fallback is None:
+            self._fallback = self.stream("unsalted")
+        return self._fallback
 
     def apply_conductance_variation(self, conductances: np.ndarray) -> np.ndarray:
         """Multiplicative programming variation on a conductance tensor.
@@ -278,7 +383,7 @@ class HardwareNoiseConfig:
         the tensor shapes do).
         """
         return _conductance_variation(
-            self.sample, self.reram_conductance_sigma, conductances
+            self._unsalted()._rng, self.reram_conductance_sigma, conductances
         )
 
 
@@ -343,5 +448,5 @@ class NoiseStream:
         """Scoped counterpart of
         :meth:`HardwareNoiseConfig.apply_conductance_variation`."""
         return _conductance_variation(
-            self.sample, self._config.reram_conductance_sigma, conductances
+            self._rng, self._config.reram_conductance_sigma, conductances
         )

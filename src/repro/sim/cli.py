@@ -1209,6 +1209,9 @@ def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
             "skipped": outcome.skipped,
             "executed": outcome.executed,
             "failed": outcome.failed,
+            "retries": outcome.retries,
+            "pool_rebuilds": outcome.pool_rebuilds,
+            "watchdog_kills": outcome.watchdog_kills,
             "workers": args.workers,
             "kernel": _resolved_kernel(args.kernel),
             "elapsed_s": outcome.elapsed_s,

@@ -20,7 +20,12 @@ and :func:`run_trial_chunk` runs a whole chunk of trials against the
 memoised state instead of re-programming per trial.  Per-trial programming
 variation is applied at executor wiring from the trial's own noise streams,
 so the rows stay bit-for-bit identical to programming every trial from
-scratch (:func:`run_trial` without a state).
+scratch (:func:`run_trial` without a state).  Both trial loops (inline and
+:func:`run_trial_chunk`) run trial-major inside
+:func:`repro.circuits.noise.shared_unit_draws`: the noise scales and stuck
+fractions of one trial draw the same unit normals, so the first run of a
+trial draws them and the rest scale the memoised copy — one trial's
+conductance bytes (float64) per process, dropped when the trial changes.
 
 :func:`run_sweep` drives a grid through a ``ProcessPoolExecutor`` (or
 inline for ``workers <= 1``), appending rows to the
@@ -42,7 +47,8 @@ crashed-and-recovered sweep compacts to a store byte-identical to an
 undisturbed one.  ``keep_going`` converts a unit that exhausts its retries
 into structured error rows (spec fields plus an ``"error"`` message) instead
 of aborting the sweep; stored error rows are treated as pending — not
-resumed — by the next invocation.
+resumed — by the next invocation.  :class:`SweepOutcome` counts retries,
+pool rebuilds and watchdog kills.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.circuits.noise import shared_unit_draws
 from repro.sweep.grid import SweepGrid, TrialSpec
 from repro.sweep.store import SweepStore
 
@@ -189,12 +196,18 @@ def run_trial_chunk(specs: Sequence[TrialSpec], snapshot_path: str) -> List[dict
     The chunk is the pool's unit of work: it amortises task submission and
     result pickling over several trials, and every trial reuses the
     worker-memoised state/network/params loaded from ``snapshot_path``.
+    Consecutive specs of one trial share their unit-normal programming
+    draws (:func:`repro.circuits.noise.shared_unit_draws`), which is why
+    :func:`run_sweep` hands out trial-major chunks.
     """
     _maybe_inject_fault()
     state, network, params = _load_worker_state(snapshot_path)
-    return [
-        run_trial(spec, state=state, network=network, params=params) for spec in specs
-    ]
+    rows = []
+    with shared_unit_draws() as draws:
+        for spec in specs:
+            draws.begin(spec.trial)
+            rows.append(run_trial(spec, state=state, network=network, params=params))
+    return rows
 
 
 def _work_spec(spec: TrialSpec) -> TrialSpec:
@@ -242,6 +255,36 @@ def _group_key(spec: TrialSpec) -> str:
 
 
 @dataclass
+class _FabricEvents:
+    """Recovery events of one sweep, reported on :class:`SweepOutcome`."""
+
+    retries: int = 0
+    pool_rebuilds: int = 0
+    watchdog_kills: int = 0
+
+
+def _trial_chunks(
+    specs: Sequence[TrialSpec], size: int, whole_trials: bool
+) -> List[List[TrialSpec]]:
+    """Split trial-ordered ``specs`` into chunks of ``size`` specs.
+
+    With ``whole_trials`` each chunk is extended to the end of its last
+    trial, so no trial's runs (which share unit draws) are split across
+    workers; otherwise every chunk but the last holds exactly ``size``.
+    """
+    chunks: List[List[TrialSpec]] = []
+    chunk: List[TrialSpec] = []
+    for spec in specs:
+        if len(chunk) >= size and (not whole_trials or spec.trial != chunk[-1].trial):
+            chunks.append(chunk)
+            chunk = []
+        chunk.append(spec)
+    if chunk:
+        chunks.append(chunk)
+    return chunks
+
+
+@dataclass
 class _PoolTask:
     """One retryable unit of pool work: a chunk of one group's trials."""
 
@@ -276,6 +319,7 @@ def _drain_pool(
     max_retries: int,
     backoff_s: float,
     timeout_s: Optional[float],
+    events: _FabricEvents,
     progress: Optional[Callable[[str], None]] = None,
 ) -> None:
     """Run ``tasks`` on ``holder[0]`` to completion, surviving the pool.
@@ -294,6 +338,7 @@ def _drain_pool(
 
     ``holder`` is a one-element list so the caller always sees the current
     pool (rebuilds included) and can shut it down in its ``finally``.
+    Every resubmission, rebuild and watchdog kill is counted in ``events``.
     """
     active: Dict = {}
     retry: List[_PoolTask] = []
@@ -310,6 +355,7 @@ def _drain_pool(
         if backoff_s > 0:
             time.sleep(backoff_s * (2 ** (task.attempts - 1)))
         retry.append(task)
+        events.retries += 1
         if progress:
             progress(
                 f"retrying {task.weight} trial(s) after {type(exc).__name__} "
@@ -350,6 +396,7 @@ def _drain_pool(
             if progress:
                 progress(f"no trial finished within {budget:.1f}s; restarting pool")
             _terminate_pool_processes(holder[0])
+            events.watchdog_kills += 1
             exc = TimeoutError(f"no trial finished within the {budget:.1f}s budget")
             for future, task in list(active.items()):
                 future.cancel()
@@ -368,6 +415,7 @@ def _drain_pool(
             except Exception:
                 pass
             holder[0] = rebuild()
+            events.pool_rebuilds += 1
             last_progress = time.monotonic()
         submit_all(retry)
 
@@ -397,6 +445,13 @@ class SweepOutcome:
     #: ``keep_going`` a persistent failure raises instead); counted inside
     #: ``computed``, and retried by the next ``resume`` invocation
     failed: int = 0
+    #: units of work re-run after a failure (inline or pooled; a unit lost
+    #: with a dead pool counts once per resubmission)
+    retries: int = 0
+    #: process pools rebuilt after a worker died or the watchdog fired
+    pool_rebuilds: int = 0
+    #: hung pools killed by the ``trial_timeout_s`` stall watchdog
+    watchdog_kills: int = 0
 
     @property
     def trials_per_sec(self) -> float:
@@ -446,8 +501,15 @@ def run_sweep(
     programmed states across invocations; without one, snapshots for the
     workers live in a temp directory for the duration of the call.
     ``pool`` substitutes a caller-owned (pre-warmed) executor — it is not
-    shut down here, and ``pool_startup_s`` stays 0.  ``chunk_size`` caps
-    trials per pool task (default: enough chunks for ~2 tasks per worker).
+    shut down here, and ``pool_startup_s`` stays 0.
+
+    Scheduling is trial-major: each group's runs are ordered by trial index
+    (stably), so every noise scale and stuck fraction of one trial runs back
+    to back and scales the same unit-normal programming draws
+    (:func:`repro.circuits.noise.shared_unit_draws`).  ``chunk_size`` sets
+    the runs per pool task; the default (~2 tasks per worker) rounds each
+    chunk up to whole trials, while an explicit size is honoured as given —
+    a trial split across chunks draws twice, with the same rows.
     """
     if workers < 0:
         raise ValueError("workers must be non-negative")
@@ -483,6 +545,7 @@ def run_sweep(
 
     done = 0
     failed = 0
+    events = _FabricEvents()
 
     def emit(work_row: dict, dependents: List[TrialSpec]) -> None:
         nonlocal done
@@ -524,6 +587,7 @@ def run_sweep(
                     raise
                 if retry_backoff_s > 0:
                     time.sleep(retry_backoff_s * (2 ** (attempts - 1)))
+                events.retries += 1
 
     program_s = 0.0
     pool_startup_s = 0.0
@@ -544,7 +608,11 @@ def run_sweep(
         groups: Dict[str, List[TrialSpec]] = {}
         for shared in work.values():
             groups.setdefault(_group_key(shared), []).append(shared)
-        if cache is None:
+        # trial-major: one trial's runs back to back share their unit draws
+        for gspecs in groups.values():
+            gspecs.sort(key=lambda spec: spec.trial)
+        own_cache = cache is None
+        if own_cache:
             cache = ProgrammedStateCache(memory_entries=max(4, len(groups)))
         t_program = time.perf_counter()
         states: Dict[str, tuple] = {}
@@ -561,19 +629,21 @@ def run_sweep(
         program_s = time.perf_counter() - t_program
 
         if pool is None and (workers <= 1 or len(work) == 1):
-            for gkey, gspecs in groups.items():
-                state, network, params = states[gkey]
-                for shared in gspecs:
-                    try:
-                        row = call_with_retries(
-                            run_trial, shared, state, network, params
-                        )
-                    except Exception as exc:
-                        if not keep_going:
-                            raise
-                        emit_error(shared, exc)
-                    else:
-                        emit(row, members[shared.key])
+            with shared_unit_draws() as draws:
+                for gkey, gspecs in groups.items():
+                    state, network, params = states[gkey]
+                    for shared in gspecs:
+                        draws.begin((gkey, shared.trial))
+                        try:
+                            row = call_with_retries(
+                                run_trial, shared, state, network, params
+                            )
+                        except Exception as exc:
+                            if not keep_going:
+                                raise
+                            emit_error(shared, exc)
+                        else:
+                            emit(row, members[shared.key])
         else:
             # snapshot each group's state to disk so the pool initializer /
             # run_trial_chunk can load it once per worker process
@@ -586,6 +656,12 @@ def run_sweep(
                     paths[gkey] = str(cache.ensure_on_disk(state))
                 else:
                     paths[gkey] = str(state.save(Path(tmpdir) / state.key))
+            if own_cache:
+                # the workers load the snapshots; dropping the parent's
+                # copies keeps a pool forked from here from mapping them too
+                del state
+                states.clear()
+                cache = None
             try:
                 own_pool = pool is None
                 original_pool = pool
@@ -609,7 +685,7 @@ def run_sweep(
                 # ~2 chunks per worker: coarse enough that chunk hand-off
                 # (result pickling, scheduling) stays negligible next to
                 # the trials, fine enough that a straggler worker can
-                # still be backfilled
+                # still be backfilled; rounded up to whole trials
                 size = chunk_size or max(
                     1, math.ceil(len(work) / (workers * 2 if workers else 2))
                 )
@@ -621,9 +697,7 @@ def run_sweep(
                         weight=len(chunk),
                     )
                     for gkey, gspecs in groups.items()
-                    for chunk in (
-                        gspecs[lo : lo + size] for lo in range(0, len(gspecs), size)
-                    )
+                    for chunk in _trial_chunks(gspecs, size, chunk_size is None)
                 ]
                 try:
                     _drain_pool(
@@ -635,6 +709,7 @@ def run_sweep(
                         max_retries,
                         retry_backoff_s,
                         trial_timeout_s,
+                        events,
                         progress,
                     )
                 finally:
@@ -663,4 +738,7 @@ def run_sweep(
         program_s=program_s,
         pool_startup_s=pool_startup_s,
         failed=failed,
+        retries=events.retries,
+        pool_rebuilds=events.pool_rebuilds,
+        watchdog_kills=events.watchdog_kills,
     )

@@ -400,6 +400,8 @@ def test_sweep_json_schema_and_monotone_errors(tmp_path, capsys):
     assert doc["computed"] == 4 and doc["skipped"] == 0
     assert doc["executed"] == 3  # the two noiseless trials share one run
     assert doc["trials_per_sec"] > 0
+    # sweep-fabric events: a clean inline run recovers from nothing
+    assert (doc["retries"], doc["pool_rebuilds"], doc["watchdog_kills"]) == (0, 0, 0)
     scales = [entry["noise_scale"] for entry in doc["summary"]]
     errors = [entry["mean_rel_error"] for entry in doc["summary"]]
     assert scales == [0.0, 1.0]

@@ -9,10 +9,13 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.circuits import noise
 from repro.circuits.noise import (
     HardwareNoiseConfig,
     NoiseBudget,
     NoiseStream,
+    SharedUnitDraws,
+    shared_unit_draws,
     stable_seed,
 )
 from repro.context import SimContext
@@ -152,6 +155,114 @@ def test_monte_carlo_trials_are_independently_reproducible():
     for trial in range(4):
         np.testing.assert_array_equal(trial_draws(trial), trial_draws(trial))
     assert not np.array_equal(trial_draws(0), trial_draws(1))
+
+
+# ---------------------------------------------------------------------------
+# programming variation: fused pass and shared unit draws
+# ---------------------------------------------------------------------------
+
+def _historical_variation(rng, sigma, conductances):
+    """The pre-fusion formula, kept as the oracle of the fused pass."""
+    variation = rng.normal(0.0, sigma, size=conductances.shape)
+    noisy = (conductances * (1.0 + variation)).astype(conductances.dtype, copy=False)
+    return np.clip(noisy, 0.0, None, out=noisy)
+
+
+def _conductances(dtype=np.float64, order="C", shape=(3, 37, 29)):
+    values = np.random.default_rng((7, 11)).uniform(0.0, 1e-4, size=shape)
+    values.flat[::11] = 0.0  # zero cells: a negative factor makes -0.0
+    return np.asarray(values, dtype=dtype, order=order)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fused_variation_matches_the_historical_formula(dtype, order):
+    # sigma 0.5: about 2% of the factors 1 + sigma * z are negative and clip
+    cfg = HardwareNoiseConfig.scaled(50.0, seed=9)
+    sigma = cfg.reram_conductance_sigma
+    c = _conductances(dtype, order)
+    for fused, oracle in (
+        (
+            cfg.stream("layer", 3).apply_conductance_variation(c),
+            _historical_variation(cfg.derived_rng("layer", 3), sigma, c),
+        ),
+        (
+            HardwareNoiseConfig.scaled(50.0, seed=9).apply_conductance_variation(c),
+            _historical_variation(cfg.derived_rng("unsalted"), sigma, c),
+        ),
+    ):
+        assert fused.dtype == oracle.dtype == dtype
+        assert fused.strides == oracle.strides
+        assert fused.tobytes() == oracle.tobytes()
+        assert np.count_nonzero(fused == 0) > np.count_nonzero(c == 0)  # clipping fired
+
+
+def test_variation_never_writes_the_input():
+    c = _conductances()
+    before = c.copy()
+    HardwareNoiseConfig.scaled(1.0).stream("x").apply_conductance_variation(c)
+    assert c.tobytes() == before.tobytes()
+
+
+def test_a_shared_draw_hit_equals_a_fresh_draw_and_keeps_the_stream_in_step():
+    """Two noise scales of one trial draw the same unit normals; the second
+    scale's draw is served from the memo and leaves its stream exactly where
+    drawing would have."""
+    c = _conductances()
+    low, high = HardwareNoiseConfig.scaled(0.5, seed=4), HardwareNoiseConfig.scaled(2.0, seed=4)
+    undisturbed = high.stream("layer")
+    expected = undisturbed.apply_conductance_variation(c)
+    expected_next = undisturbed.sample(0.1, (5,))
+    with shared_unit_draws() as draws:
+        draws.begin(0)
+        low.stream("layer").apply_conductance_variation(c)  # miss: fills the memo
+        assert len(draws) == 1
+        stream = high.stream("layer")
+        got = stream.apply_conductance_variation(c)
+        assert len(draws) == 1  # a hit stores nothing new
+        got_next = stream.sample(0.1, (5,))
+    assert got.tobytes() == expected.tobytes()
+    assert got_next.tobytes() == expected_next.tobytes()
+
+
+def test_cached_unit_draws_are_read_only():
+    memo = SharedUnitDraws()
+    unit = memo.draw(np.random.default_rng((1, 2)), (4, 3))
+    assert not unit.flags.writeable
+    with pytest.raises(ValueError):
+        unit[0, 0] = 1.0
+    # a second generator in the same state is served the same array
+    again = memo.draw(np.random.default_rng((1, 2)), (4, 3))
+    assert again is unit
+
+
+def test_the_memo_holds_one_trial_and_is_empty_outside_its_scope():
+    c = _conductances()
+    assert noise._SHARED_DRAWS.get() is None
+    with shared_unit_draws() as draws:
+        assert noise._SHARED_DRAWS.get() is draws
+        draws.begin(0)
+        HardwareNoiseConfig.scaled(1.0).stream("a").apply_conductance_variation(c)
+        draws.begin(0)  # same trial: kept
+        assert len(draws) == 1
+        draws.begin(1)  # the trial changed: dropped
+        assert len(draws) == 0
+        HardwareNoiseConfig.scaled(1.0).stream("b").apply_conductance_variation(c)
+    assert len(draws) == 0
+    assert noise._SHARED_DRAWS.get() is None
+
+
+def test_plain_executor_wiring_never_consults_the_memo(monkeypatch):
+    from repro.engine import NetworkExecutor
+    from repro.nn.models import build_model
+
+    def refuse(self, rng, shape):
+        raise AssertionError("the memo was consulted outside a sweep trial loop")
+
+    monkeypatch.setattr(SharedUnitDraws, "draw", refuse)
+    ctx = SimContext(noise=HardwareNoiseConfig.scaled(1.0)).for_trial(1)
+    executor = NetworkExecutor(build_model("tiny_cnn"), ctx)
+    executor.run(executor.random_input(), validate=True)
 
 
 # ---------------------------------------------------------------------------

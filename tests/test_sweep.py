@@ -27,6 +27,22 @@ from repro.sweep import (
 
 TINY_GRID = SweepGrid(models=("tiny_cnn",), noise_scales=(0.0, 1.0), trials=2, seed=0)
 
+#: every trial of every group has several noisy members (two noisy scales x
+#: two stuck fractions), so trial-major scheduling shares unit draws, and
+#: both dtypes and cell widths run: the grid the draw-sharing identity
+#: tests sweep at every schedule
+SHARED_GRID = SweepGrid(
+    models=("tiny_cnn",),
+    noise_scales=(0.0, 0.5, 1.0),
+    trials=2,
+    cell_bits=(2, 4),
+    compute_dtypes=("float64", "float32"),
+    stuck_fractions=(0.0, 0.05),
+    rows=64,
+    cols=64,
+    seed=0,
+)
+
 
 # ---------------------------------------------------------------------------
 # grid + specs
@@ -270,6 +286,69 @@ def test_chunk_size_does_not_change_the_store(tmp_path):
     run_sweep(TINY_GRID, coarse, workers=2)
     run_sweep(TINY_GRID, fine, workers=2, chunk_size=1)
     assert coarse.path.read_bytes() == fine.path.read_bytes()
+
+
+def test_shared_draw_store_is_identical_at_every_schedule(tmp_path):
+    """Inline, pooled, one-run chunks and a resume that splits every trial
+    all compact to the same bytes."""
+    reference = SweepStore(tmp_path / "inline.jsonl")
+    run_sweep(SHARED_GRID, reference, workers=1)
+    expected = reference.path.read_bytes()
+    for name, kwargs in (
+        ("pooled", dict(workers=2)),
+        ("chunk1", dict(workers=2, chunk_size=1)),
+    ):
+        store = SweepStore(tmp_path / f"{name}.jsonl")
+        run_sweep(SHARED_GRID, store, **kwargs)
+        assert store.path.read_bytes() == expected, name
+    for workers in (1, 2):
+        half = SweepStore(tmp_path / f"half{workers}.jsonl")
+        half.path.write_text("".join(line + "\n" for line in reference.lines()[::2]))
+        outcome = run_sweep(SHARED_GRID, half, workers=workers, resume=True)
+        assert outcome.skipped == (len(SHARED_GRID) + 1) // 2
+        assert half.path.read_bytes() == expected, workers
+
+
+def test_shared_draw_rows_match_rows_programmed_from_scratch(tmp_path):
+    shared = SweepStore(tmp_path / "shared.jsonl")
+    run_sweep(SHARED_GRID, shared, workers=1)
+    from_scratch = [run_trial(spec) for spec in SHARED_GRID.specs()]
+    assert list(shared.load().values()) == from_scratch
+
+
+def test_trial_major_sweep_draws_each_trial_once(tmp_path, monkeypatch):
+    """Per group and trial, the first noisy run draws and the other three
+    (second noisy scale, second stuck fraction) are served from the memo."""
+    from repro.circuits import noise
+
+    draw = noise.SharedUnitDraws.draw
+    calls = {"hit": 0, "miss": 0}
+
+    def counting(self, rng, shape):
+        before = len(self)
+        unit = draw(self, rng, shape)
+        calls["hit" if len(self) == before else "miss"] += 1
+        return unit
+
+    monkeypatch.setattr(noise.SharedUnitDraws, "draw", counting)
+    run_sweep(SHARED_GRID, SweepStore(tmp_path / "rows.jsonl"), workers=1)
+    assert calls["miss"] > 0
+    assert calls["hit"] == 3 * calls["miss"]
+
+
+def test_default_chunks_hold_whole_trials_and_explicit_sizes_are_exact():
+    from repro.sweep.pool import _trial_chunks
+
+    specs = [
+        TrialSpec(model="tiny_cnn", noise_scale=scale, trial=trial)
+        for trial in range(3)
+        for scale in (0.5, 1.0, 2.0)
+    ]
+    whole = _trial_chunks(specs, 2, whole_trials=True)
+    assert [[s.trial for s in chunk] for chunk in whole] == [[0] * 3, [1] * 3, [2] * 3]
+    exact = _trial_chunks(specs, 2, whole_trials=False)
+    assert [len(chunk) for chunk in exact] == [2, 2, 2, 2, 1]
+    assert [s for chunk in exact for s in chunk] == specs
 
 
 def test_fully_resumed_sweep_creates_no_pool(tmp_path, monkeypatch):
@@ -523,6 +602,8 @@ def test_inline_sweep_retries_transient_failures(tmp_path, monkeypatch):
     flaky = SweepStore(tmp_path / "flaky.jsonl")
     outcome = run_sweep(TINY_GRID, flaky, workers=0, retry_backoff_s=0.0)
     assert outcome.failed == 0
+    assert outcome.retries == outcome.executed  # every run failed once
+    assert (outcome.pool_rebuilds, outcome.watchdog_kills) == (0, 0)
     assert flaky.lines() == clean.lines()
 
 
@@ -567,7 +648,8 @@ def test_pooled_sweep_survives_a_worker_crash(tmp_path, monkeypatch):
     re-run, and the final store is byte-identical to an uncrashed run."""
     grid = SweepGrid(models=("tiny_mlp",), noise_scales=(0.0, 1.0), trials=3, seed=0)
     clean = SweepStore(tmp_path / "clean.jsonl")
-    run_sweep(grid, clean, workers=2, chunk_size=1)
+    undisturbed = run_sweep(grid, clean, workers=2, chunk_size=1)
+    assert (undisturbed.retries, undisturbed.pool_rebuilds) == (0, 0)
 
     marker = tmp_path / "crash.marker"
     monkeypatch.setenv("REPRO_SWEEP_CRASH_ONCE", str(marker))
@@ -578,6 +660,28 @@ def test_pooled_sweep_survives_a_worker_crash(tmp_path, monkeypatch):
     assert marker.exists()  # the injection actually fired
     assert outcome.failed == 0
     assert crashed.lines() == clean.lines()
+    assert outcome.pool_rebuilds == 1 and outcome.watchdog_kills == 0
+    assert outcome.retries >= 1  # at least the killed unit was resubmitted
+
+
+def test_pooled_sweep_watchdog_kills_a_hung_worker(tmp_path, monkeypatch):
+    """One worker hangs: the stall watchdog kills the pool once, the pool is
+    rebuilt and the store matches an undisturbed run."""
+    grid = SweepGrid(models=("tiny_mlp",), noise_scales=(0.0, 1.0), trials=3, seed=0)
+    clean = SweepStore(tmp_path / "clean.jsonl")
+    run_sweep(grid, clean, workers=2, chunk_size=1)
+
+    marker = tmp_path / "hang.marker"
+    monkeypatch.setenv("REPRO_SWEEP_HANG_ONCE", str(marker))
+    hung = SweepStore(tmp_path / "hung.jsonl")
+    outcome = run_sweep(
+        grid, hung, workers=2, chunk_size=1, retry_backoff_s=0.0, trial_timeout_s=2.0
+    )
+    assert marker.exists()
+    assert outcome.failed == 0
+    assert hung.lines() == clean.lines()
+    assert outcome.watchdog_kills == 1 and outcome.pool_rebuilds == 1
+    assert outcome.retries >= 1
 
 
 def test_sweep_rejects_bad_retry_configuration(tmp_path):
