@@ -152,13 +152,12 @@ class ArchSpec:
 #: Names accepted by :meth:`SimContext.accelerator_spec` / the CLI.
 ACCELERATOR_STYLES = ("timely", "prime", "isaac")
 
-#: Compute dtypes of the packed engine: ``"float64"`` (default,
-#: bit-identical to the historical behaviour) or ``"float32"`` — half the
-#: conductance-tensor memory and single-precision BLAS on the hot matmul +
-#: read-out chain, at a documented looser accuracy bar (<= 1e-4 relative
-#: against the float64 path on the analog chains; ideal-mode integer
-#: matmuls that would lose exactness in float32 fall back to float64 per
-#: layer, so requesting float32 never breaks exact read-out).
+#: Compute dtypes of the packed engine's time-domain chain: ``"float64"``
+#: (default, bit-identical to the historical behaviour) or ``"float32"`` —
+#: half the conductance-tensor memory and single-precision BLAS on the
+#: chain's matmul + read-out, at a documented looser accuracy bar (<= 1e-4
+#: relative against the float64 chain).  The exact integer read-out picks
+#: its own GEMM dtype from its exactness bound, whatever is requested.
 COMPUTE_DTYPES = ("float64", "float32")
 
 
@@ -185,18 +184,19 @@ class SimContext:
     chains of the functional engine (``None`` = ideal hardware); ``seed``
     drives every deterministic draw (weight initialisation, input
     generation), so two contexts with equal fields reproduce each other
-    exactly; ``compute_dtype`` selects the packed engine's arithmetic precision
-    (see :data:`COMPUTE_DTYPES` — ``"float32"`` halves conductance memory
-    and roughly doubles matmul throughput at a ≤1e-4 relative-accuracy
-    bar, while ``"float64"``, the default, stays bit-identical to the
-    historical behaviour); ``chunk_bytes`` bounds the packed read-out
-    chain's working set — when set, the stacked tiles × positions charge
+    exactly; ``compute_dtype`` selects the arithmetic precision of the
+    packed engine's time-domain chain (see :data:`COMPUTE_DTYPES` —
+    ``"float32"`` halves conductance memory and roughly doubles matmul
+    throughput at a ≤1e-4 relative-accuracy bar, while ``"float64"``, the
+    default, stays bit-identical to the historical behaviour; layers read
+    out exactly ignore it); ``chunk_bytes`` bounds the packed read-out's
+    working set — when set, the stacked tiles × positions charge
     tensor is split along the position axis into chunks of at most this
     many bytes and the two-phase chain runs per chunk fully in place, so
     the layer's peak transient memory is one chunk instead of
     ``row_tiles × n_slices`` copies of the whole im2col output.  ``None``
     (the default) keeps the historical single-pass read-out, which is
-    bit-identical to prior releases; chunked results agree with it to
+    bit-identical to prior releases; chunked chain results agree with it to
     float rounding (BLAS picks different summation blockings per chunk
     shape), pinned ≤1e-12 relative in the tests.
     """
@@ -220,14 +220,6 @@ class SimContext:
     #: excluded from equality/hashing and from every content key — cached
     #: programmed states and sweep trial keys are tier-independent.
     kernel: str = field(default="auto", compare=False)
-    #: worker threads of the packed engine's chunked read-out walk.  With
-    #: ``chunk_bytes`` set and ``threads > 1``, independent charge chunks
-    #: run concurrently on a bounded thread pool (the matmul and the
-    #: compiled read-out kernel both release the GIL).  The chunk split
-    #: depends only on ``chunk_bytes`` and each chunk writes a disjoint
-    #: output slice, so results are byte-identical at any worker count —
-    #: like ``kernel``, pure performance metadata, excluded from keys.
-    threads: int = field(default=1, compare=False)
 
     # A SimContext is a bag of plain dataclasses (ArchSpec, the stateless
     # HardwareNoiseConfig) and scalars, so it pickles cleanly across the
@@ -255,8 +247,6 @@ class SimContext:
                 f"unknown kernel tier {self.kernel!r}; "
                 f"choose from: {', '.join(KERNEL_CHOICES)}"
             )
-        if self.threads < 1:
-            raise ValueError("threads must be a positive worker count")
 
     @property
     def np_compute_dtype(self) -> np.dtype:

@@ -7,19 +7,22 @@ crossbars exactly as :func:`repro.mapping.crossbar_mapping.map_network`
 counts them, and pushes real activations through the
 :mod:`repro.circuits.timing` time-domain chains:
 
-1. per-layer weight programming — symmetric ``weight_bits`` quantisation,
-   offset encoding and the bit-cell slice split into packed per-slice
-   tensors (:mod:`repro.engine.packed`),
+1. per-layer weight programming — symmetric ``weight_bits`` quantisation
+   and offset encoding into one packed tensor of cell levels
+   (:mod:`repro.engine.packed`),
 2. per-image unsigned quantisation of the input activations, then one
    dispatched gather (:func:`repro.kernels.dispatch.im2col_pack`) that
    converts once and forwards: it reads each code once — at any strides,
    so a channels-last producer output needs no copy — and writes the
-   im2col windows straight as DTC pulse widths in the compute dtype, plus
-   each group's exact code sums and per-row-tile pulse-width sums
-   (TIMELY's only-once input read, O²IR; FC layers are its 1×1 case),
-3. time-domain dot products batched over input columns *and* over the
-   images of a batch, every row tile and bit-cell slice reading that one
-   operand, with optional :mod:`repro.circuits.noise` injection,
+   im2col windows straight as the layer's crossbar operand, plus each
+   group's exact code sums and, for the time-domain chain, per-row-tile
+   pulse-width sums (TIMELY's only-once input read, O²IR; FC layers are
+   its 1×1 case),
+3. dot products batched over input columns *and* over the images of a
+   batch, every row tile and bit-cell slice reading that one operand:
+   exact integer GEMMs for layers with nothing non-ideal to model, the
+   time-domain chains with :mod:`repro.circuits.noise` injection and
+   :mod:`repro.faults` otherwise,
 4. partial-sum recombination across row tiles, digital offset removal,
    dequantisation and bias addition,
 5. auxiliary layers (ReLU, pooling, batch-norm, flatten, GAP, residual
@@ -108,7 +111,10 @@ class LayerTrace:
     ``rel_error`` is NaN when the run skipped validation.  ``stuck_cells``
     and ``remapped_rows`` count the layer's surviving stuck cells and the
     rows remapped onto spares (see :mod:`repro.faults`); both are zero when
-    no fault model is active.
+    no fault model is active.  ``readout`` says how a conv/FC layer was
+    read out — ``"exact"`` (integer GEMMs) or ``"chain"`` (the time-domain
+    chain, see :attr:`repro.engine.packed.PackedMatmul.readout`) — and is
+    ``None`` for auxiliary layers.
     """
 
     name: str
@@ -117,6 +123,7 @@ class LayerTrace:
     rel_error: float
     stuck_cells: int = 0
     remapped_rows: int = 0
+    readout: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -167,14 +174,12 @@ def program_layer(
     inst: LayerInstance,
     params: NetworkParams,
     arch,
-    mode: str,
-    compute_dtype: str = "float64",
 ) -> LayerState:
     """Program one conv/FC layer: the expensive, noise-free phase.
 
     Quantises the layer's weights per output channel, lays them out as
-    im2col matmul matrices and runs the offset-encode/bit-slice packing of
-    :func:`repro.engine.packed.pack_weights`.
+    im2col matmul matrices and offset-encodes them into the cell-level
+    payload of :func:`repro.engine.packed.pack_weights`.
     The result is a plain-array :class:`~repro.engine.state.LayerState` that
     saves, memory-maps and ships across processes; wiring it back into an
     executable layer (:class:`_MappedComputeLayer`) is cheap.
@@ -204,7 +209,6 @@ def program_layer(
 
     # all groups stacked on one leading axis: (groups, rows, group_cols)
     q = np.stack(matrices).astype(np.int64, copy=False)
-    encoded, conductances = pack_weights(q, arch, mode, compute_dtype)
     return LayerState(
         name=inst.name,
         index=inst.index,
@@ -216,8 +220,7 @@ def program_layer(
         stride=stride,
         pad=pad,
         kernel=kernel,
-        encoded=encoded,
-        conductances=conductances,
+        encoded=pack_weights(q, arch),
     )
 
 
@@ -229,13 +232,14 @@ def program(
 ) -> ProgrammedState:
     """Program a network's weights onto crossbars: the one-time phase.
 
-    Quantises, lays out and bit-slices every
+    Quantises, lays out and offset-encodes every
     conv/FC layer into a :class:`~repro.engine.state.ProgrammedState` —
     the artifact the paper's economics revolve around: built once, then
     executed many times via :meth:`NetworkExecutor.from_state`, saved to
-    disk, or shared across processes.  The state is noise-free (base
-    conductances); programming variation, which varies per Monte-Carlo
-    trial, is applied at wiring time from the trial's noise streams.
+    disk, or shared across processes.  The state is noise-free (cell
+    levels); conductances and the programming variation, which varies per
+    Monte-Carlo trial, are derived at wiring time from the trial's noise
+    streams.
     """
     if mode not in MODES:
         raise EngineError(f"unknown engine mode {mode!r}; choose from: {MODES}")
@@ -243,7 +247,7 @@ def program(
     validate_supported(network)
     params = params or NetworkParams(network, ctx.seed)
     layers = [
-        program_layer(inst, params, ctx.arch, mode, ctx.compute_dtype)
+        program_layer(inst, params, ctx.arch)
         for inst in network.compute_instances
     ]
     return ProgrammedState(
@@ -265,8 +269,8 @@ def _check_state(
     """Reject a programmed state that does not match the execution request.
 
     A mismatched state would silently execute the wrong chip: different
-    weights (model/seed), different conductance grid (arch), or tensors
-    packed for another read-out mode or precision.  Each is a hard error.
+    weights (model/seed), different conductance grid (arch), or a state
+    keyed for another read-out mode or precision.  Each is a hard error.
     """
     mismatches = []
     if state.model != network.name:
@@ -301,8 +305,7 @@ def _layer_crossbars(state: LayerState, arch) -> int:
     Matches the packed matmul's own counting: ``groups x row_tiles x
     col_tiles``.
     """
-    payload = state.encoded if state.encoded is not None else state.conductances[0]
-    n_groups, rows_needed, group_cols = payload.shape
+    n_groups, rows_needed, group_cols = state.encoded.shape
     row_tiles = math.ceil(rows_needed / arch.rows)
     col_tiles = math.ceil(group_cols / arch.weights_per_col_tile)
     return n_groups * row_tiles * col_tiles
@@ -327,7 +330,7 @@ class _MappedComputeLayer:
         # noise scopes derive from the layer index, so noisy draws are
         # independent of how many executors were constructed before this one
         self._packed = PackedMatmul.from_packed(
-            state.encoded, state.conductances, ctx, mode, salt=state.index
+            state.encoded, ctx, mode, salt=state.index
         )
 
     @property
@@ -342,6 +345,11 @@ class _MappedComputeLayer:
     @property
     def programmed_bytes(self) -> int:
         return self._packed.packed_bytes
+
+    @property
+    def readout(self) -> str:
+        """``"exact"`` or ``"chain"`` (see :attr:`PackedMatmul.readout`)."""
+        return self._packed.readout
 
     def forward(self, acts: np.ndarray, input_bits: int) -> np.ndarray:
         """Quantise a batch, run it through the tiles, dequantise the result.
@@ -518,8 +526,9 @@ class NetworkExecutor:
     def programmed_bytes(self) -> int:
         """Resident bytes of the programmed weight state across all layers.
 
-        The per-slice conductance tensors (analog) or the offset-encoded
-        matrices (ideal).  The bench adds this to
+        Each layer's wired weight tensors: the exact read-out's GEMM copy
+        of the cell levels, or the time-domain chain's per-slice
+        conductances.  The bench adds this to
         the traced forward-pass peak for its memory figure.  A streaming
         executor wires nothing up front, so this reports the backing
         state's payload bytes (for a memory-mapped state those live on
@@ -608,10 +617,12 @@ class NetworkExecutor:
         for inst in order:
             operands = [live[src] for src in inst.inputs]
             layer_stuck = layer_remapped = 0
+            readout = None
             if inst.name in self._positions:
                 mapped = self._wire_layer(inst.name)
                 out = mapped.forward(operands[0], self.ctx.arch.input_bits)
                 crossbars = mapped.crossbars
+                readout = mapped.readout
                 report = mapped.fault_report
                 if report is not None:
                     layer_stuck = report.stuck_cells
@@ -641,6 +652,7 @@ class NetworkExecutor:
                     ),
                     stuck_cells=layer_stuck,
                     remapped_rows=layer_remapped,
+                    readout=readout,
                 )
             )
             live[inst.name] = out

@@ -9,51 +9,62 @@ stores and executes the layer as a whole instead of as a grid of crossbar
 objects:
 
 * the weights of **all tiles of all groups** are packed into one contiguous
-  conductance tensor per bit-cell slice, shaped ``(groups, rows_needed,
-  group_cols)`` — partial tiles live at their true ``height x width`` rather
-  than zero-padded ``arch.rows x arch.cols`` arrays, which for a model like
-  vgg_d shrinks programmed state from thousands of padded 256x256 int64 +
-  float64 crossbars to ``n_slices`` float64 tensors the size of the weights,
+  tensor of offset-encoded cell levels, shaped ``(groups, rows_needed,
+  group_cols)`` in the narrowest unsigned dtype (``uint8`` for 8-bit
+  weights) — partial tiles live at their true ``height x width`` rather
+  than zero-padded ``arch.rows x arch.cols`` arrays, and the per-slice
+  conductances are a fixed affine map of the levels, derived only when a
+  layer runs the time-domain chain,
 * inputs are converted once, then forwarded: the executor's single
   dispatched gather (:func:`repro.kernels.dispatch.im2col_pack`) reads each
-  quantised code once and writes the layer's crossbar operand — DTC pulse
-  widths, position-major — plus the exact per-group code sums and, while
-  each operand row is still hot, its per-row-tile pulse-width sums (the
-  delay sums every crossbar's reference column subtracts).  This is
-  TIMELY's only-once input read (O²IR, Section III-A): one DTC conversion
-  per input, whose time pulse the X-subBufs forward to every crossbar that
-  needs it.  Here every row tile, bit-cell slice and group reads that one
-  operand through views, and nothing re-expands, re-converts or re-sums
-  it,
-* one batched ``delays @ G`` matmul per row-tile slice replaces the Python
-  loop over ``row_tiles x col_tiles x slices`` tile objects (the column-tile
-  axis vanishes entirely: a packed slice holds every output column), and
-  grouped convolutions ride the same call as a stacked leading matmul axis,
-* the time-domain chain — phase-I charge (the V_DD scaling of the raw
-  products), G_min offset subtraction, clip, phase-II threshold crossing,
-  LSB rescale — is elementwise with per-chain scalars that are identical
-  across a layer's tiles
+  quantised code once and writes the layer's crossbar operand,
+  position-major, plus the exact per-group code sums and — for the chain —
+  its per-row-tile pulse-width sums (the delay sums every crossbar's
+  reference column subtracts).  This is TIMELY's only-once input read
+  (O²IR, Section III-A): one DTC conversion per input, whose time pulse the
+  X-subBufs forward to every crossbar that needs it.  Here every row tile,
+  bit-cell slice and group reads that one operand through views, and
+  nothing re-expands, re-converts or re-sums it.
+
+A layer is read out one of two ways (:attr:`PackedMatmul.readout`):
+
+* ``"exact"`` — ideal mode, and every analog layer with nothing non-ideal
+  to model (no programming variation, no DTC jitter, no stuck or drifting
+  cells, no read-out saturation).  Noiseless, the time-domain chain only
+  recovers the integer dot product (``T_i = d_i·T_del``, ``G = level·g_step
+  + g_min``, the reference column cancels ``g_min·ΣT`` and both clamps stay
+  inactive below ``dot_max``), so the layer computes that product directly:
+  raw codes against the encoded levels as integer-valued float GEMMs.  When
+  every row-tile product fits float32's 24-bit mantissa (8-bit codes and
+  weights on 256-row tiles do: ``255·255·256 < 2**24``) each row tile runs
+  one float32 GEMM, accumulated in float64; otherwise one float64 GEMM
+  (exact below ``2**53``), or int64 beyond that.  The result is exact, so it
+  does not depend on BLAS vendor, thread count, chunking or kernel tier.
+* ``"chain"`` — the time-domain chain, for layers that do have a
+  non-ideality to model.  One batched ``delays @ G`` matmul per row-tile
+  slice replaces the Python loop over ``row_tiles x col_tiles x slices``
+  tile objects (the column-tile axis vanishes entirely: a packed slice
+  holds every output column), and grouped convolutions ride the same call
+  as a stacked leading matmul axis.  The chain itself — phase-I charge
+  (the V_DD scaling of the raw products), G_min offset subtraction, clip,
+  phase-II threshold crossing, LSB rescale — is elementwise with per-chain
+  scalars that are identical across a layer's tiles
   (:class:`repro.circuits.timing.TimeDomainChainSpec`), so it runs as one
   fused :func:`repro.kernels.dispatch.readout_fused` pass over the raw
-  ``delays @ G`` products stacked across every tile, slice, batch
-  position and output column at once, together with the slice/tile
-  recombination.  The sub-ranging MSB/LSB pair of
-  Section IV-C is simply the 2-slice case of this recombination.
+  products stacked across every tile, slice, batch position and output
+  column at once, together with the slice/tile recombination.  The
+  sub-ranging MSB/LSB pair of Section IV-C is simply the 2-slice case of
+  this recombination.
 
-Noiseless, the packed path matches the tiled oracle to float tolerance
-(both recover the exact integer matmul through the same chain algebra); the
-oracle runs noiseless and fault-free only.  Noisy runs are exactly
-reproducible from the noise seed: every draw comes from a
-:class:`repro.circuits.noise.NoiseStream` derived from ``(seed, layer
-salt)``, so results are independent of how many other executors were
+Noisy runs are exactly reproducible from the noise seed: every draw comes
+from a :class:`repro.circuits.noise.NoiseStream` derived from ``(seed,
+layer salt)``, so results are independent of how many other executors were
 constructed first.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -65,24 +76,6 @@ from repro.kernels.dispatch import im2col_pack, readout_fused
 
 #: engine read-out modes: the time-domain chains or the exact integer product
 MODES = ("analog", "ideal")
-
-#: float64 integer matmuls are exact below this product-sum magnitude
-_EXACT_FLOAT_BOUND = float(2 ** 53)
-
-#: per-dtype exactness bounds (mantissa width + 1) for the ideal-mode
-#: integer matmul; a requested dtype whose bound the layer's worst-case
-#: product sum exceeds falls back to the next wider dtype per layer
-_EXACT_FLOAT_BOUNDS = {
-    np.dtype(np.float64): _EXACT_FLOAT_BOUND,
-    np.dtype(np.float32): float(2 ** 24),
-}
-
-
-def _worst_product_sum(arch: ArchSpec, rows_needed: int) -> float:
-    """Upper bound of one ideal-mode output element before offset removal."""
-    return (
-        float(2 ** arch.input_bits - 1) * float(2 ** arch.weight_bits) * rows_needed
-    )
 
 
 def _flat_memory_view(a: np.ndarray) -> Optional[np.ndarray]:
@@ -103,88 +96,84 @@ def _like(result: np.ndarray, template: np.ndarray) -> np.ndarray:
     return result.reshape(template.shape[::-1]).T
 
 
-def pack_weights(
-    q: np.ndarray,
-    arch: ArchSpec,
-    mode: str,
-    compute_dtype: Union[str, np.dtype] = "float64",
-) -> Tuple[Optional[np.ndarray], List[np.ndarray]]:
+def pack_weights(q: np.ndarray, arch: ArchSpec) -> np.ndarray:
     """The expensive, noise-free half of packed programming.
 
     Offset-encodes the ``(groups, rows, group_cols)`` signed quantised
-    weights and, in ``"analog"`` mode, bit-slices them into the per-slice
-    *base* conductance tensors (no programming variation — that is applied
-    per executor, so one packed payload serves every noise realisation).
-    Returns ``(encoded, conductances)``: exactly one is populated —
-    ``encoded`` for ``"ideal"`` mode, the conductance list for ``"analog"``.
+    weights into unsigned cell levels, ``q + 2**(weight_bits - 1)``, in the
+    narrowest unsigned dtype that holds ``weight_bits`` bits (``uint8`` up
+    to 8 bits, ``uint16`` up to 16).  One payload serves both modes and
+    every noise realisation: the exact read-out multiplies the levels
+    directly, and the time-domain chain derives its per-slice base
+    conductances from them at wiring time (:func:`slice_conductances`).
+    This is the payload :class:`repro.engine.state.ProgrammedState`
+    snapshots and :meth:`PackedMatmul.from_packed` rewires.
 
-    ``compute_dtype`` (:data:`repro.context.COMPUTE_DTYPES`) selects the
-    storage/arithmetic precision of the packed tensors.  ``"float32"``
-    halves the payload and switches the hot matmuls to single-precision
-    BLAS; in ``"ideal"`` mode the request is honoured only when the
-    layer's worst-case product sum stays below the dtype's exactness
-    bound (:data:`_EXACT_FLOAT_BOUNDS`) — otherwise the layer silently
-    falls back to float64 storage so exact integer read-out is never
-    broken.  The chosen dtype is observable on the returned tensors (and
-    as :attr:`PackedMatmul.compute_dtype` after wiring).
-
-    This is the payload :class:`repro.engine.state.ProgrammedState` snapshots
-    and :meth:`PackedMatmul.from_packed` rewires without recomputation.
-
-    The elementwise passes run on a **flat memory-order view** of the
-    stack.  ``q`` arrives Fortran-ordered (a stack of ``.T`` im2col
-    matrices), and ufunc loops over such 3-D stacks degrade badly — tens
-    of seconds per vgg_d FC layer, ~20x the sequential-walk cost — because
-    the dimension with the huge stride defeats the iterator's loop
-    coalescing.  A 1-D view walks the same bytes sequentially, and
-    reshaping the results back **in the same order** reproduces the exact
-    bytes *and* the exact layout of the direct computation — layout
-    matters downstream, because BLAS picks summation paths by operand
-    memory order.  Both branches preserve that layout: the ideal-mode
-    encoded matrix keeps ``q``'s order via an order-preserving ``astype``
-    (it used to be forced C-contiguous, silently discarding the F-order
-    this docstring promises).
+    The cast and offset run on a **flat memory-order view** of the stack.
+    ``q`` arrives Fortran-ordered (a stack of ``.T`` im2col matrices), and
+    ufunc loops over such 3-D stacks degrade badly — tens of seconds per
+    vgg_d FC layer — because the dimension with the huge stride defeats the
+    iterator's loop coalescing.  A 1-D view walks the same bytes
+    sequentially, and reshaping the result back **in the same order** keeps
+    ``q``'s layout, which the derived conductances inherit (BLAS picks
+    summation paths by operand memory order, so the chain's bytes depend on
+    it).  The cast wraps negative weights modulo ``2**bits`` and the offset
+    addition wraps them back, so no int64 temporary is made.
     """
-    dtype = np.dtype(compute_dtype)
-    if dtype not in _EXACT_FLOAT_BOUNDS:
-        raise EngineError(
-            f"unsupported packed compute dtype {dtype}; "
-            f"choose from: {', '.join(str(d) for d in _EXACT_FLOAT_BOUNDS)}"
-        )
+    dtype = np.min_scalar_type(2 ** arch.weight_bits - 1)
     flat = _flat_memory_view(q)
     if flat is None:  # non-contiguous input: direct (strided) fallback
         flat = q
-    offset = 2 ** (arch.weight_bits - 1)
-    encoded_flat = flat + offset  # unsigned levels, memory order
-    encoded = _like(encoded_flat, q)  # (G, R, C)
-    if mode == "ideal":
-        # The ideal read-out is linear, so the slice cascade recombines
-        # back into the encoded matrix and one matmul suffices.  Per-layer
-        # exactness fallback: a float32 request only sticks when the
-        # worst-case product sum fits the 24-bit mantissa.
-        if _worst_product_sum(arch, q.shape[1]) >= _EXACT_FLOAT_BOUNDS[dtype]:
-            dtype = np.dtype(np.float64)
-        # order='K' keeps q's memory layout (the F-ordered im2col stack)
-        return encoded.astype(dtype, order="K"), []
+    encoded = flat.astype(dtype, order="K")
+    encoded += dtype.type(2 ** (arch.weight_bits - 1))
+    return _like(encoded, q)
+
+
+def slice_conductances(
+    encoded: np.ndarray, arch: ArchSpec, dtype: np.dtype
+) -> List[np.ndarray]:
+    """The per-slice base conductances of an encoded level tensor.
+
+    Slice ``s`` holds the cell levels ``(encoded >> cell_bits·s) & mask``
+    mapped to ``level·g_step + g_min`` — the map of
+    :meth:`repro.circuits.reram.ReRAMCellSpec.weight_to_conductance`,
+    without its range scan (the mask guarantees valid levels) and scaled in
+    place so deep models pay no extra weights-sized temporary per slice.
+    Fresh writable tensors in ``encoded``'s layout, in ``dtype``.
+    """
+    flat = _flat_memory_view(encoded)
+    if flat is None:
+        flat = encoded
     cell = arch.cell_spec()
     mask = 2 ** arch.cell_bits - 1
     conductances: List[np.ndarray] = []
     for s in range(arch.cols_per_weight):
-        levels = (encoded_flat >> (arch.cell_bits * s)) & mask
-        # same map as ReRAMCellSpec.weight_to_conductance, without the
-        # range scan (the mask guarantees valid levels) and with in-place
-        # scaling so deep models don't pay an extra weights-sized
-        # temporary per slice
-        slice_conductances = levels.astype(dtype)
+        levels = (flat >> (arch.cell_bits * s)) & mask
+        slice_g = levels.astype(dtype)
         del levels
-        slice_conductances *= dtype.type(cell.g_step_s)
-        slice_conductances += dtype.type(cell.g_min_s)
-        conductances.append(_like(slice_conductances, q))
-    return None, conductances
+        slice_g *= dtype.type(cell.g_step_s)
+        slice_g += dtype.type(cell.g_min_s)
+        conductances.append(_like(slice_g, encoded))
+    return conductances
+
+
+def _exact_dtype(arch: ArchSpec, rows_needed: int) -> np.dtype:
+    """The narrowest GEMM dtype in which the layer's integer sums are exact.
+
+    float32 when one row tile's worst-case product sum fits the 24-bit
+    mantissa (the tiles are then accumulated in float64), float64 when the
+    whole layer's fits 53 bits, int64 beyond that.
+    """
+    worst = (2 ** arch.input_bits - 1) * (2 ** arch.weight_bits - 1)
+    if worst * arch.tile_height(rows_needed) < 2 ** 24:
+        return np.dtype(np.float32)
+    if worst * rows_needed < 2 ** 53:
+        return np.dtype(np.float64)
+    return np.dtype(np.int64)
 
 
 class PackedMatmul:
-    """Integer matmul of one layer (all groups) through packed slice tensors.
+    """Integer matmul of one layer (all groups) through packed cell levels.
 
     Parameters
     ----------
@@ -195,10 +184,10 @@ class PackedMatmul:
         ``ctx.arch.weight_bits`` bits.
     ctx:
         The simulation context supplying geometry, cell/converter specs and
-        the (optional) noise model.
+        the (optional) noise and fault models.
     mode:
-        ``"analog"`` (vectorized time-domain chains) or ``"ideal"`` (exact
-        integer read-out).
+        ``"analog"`` (time-domain chains wherever there is a non-ideality
+        to model) or ``"ideal"`` (always the exact integer read-out).
     salt:
         Identifies this layer's noise scope (the executor passes the layer
         index).  Programming and read-out noise streams derive from
@@ -230,56 +219,48 @@ class PackedMatmul:
                 f"quantised weights must lie in [{-qmax}, {qmax}] for "
                 f"{arch.weight_bits}-bit symmetric quantisation"
             )
-        encoded, conductances = pack_weights(q, arch, mode, ctx.compute_dtype)
-        self._wire(encoded, conductances, ctx, mode, salt)
+        self._wire(pack_weights(q, arch), ctx, mode, salt)
 
     @classmethod
     def from_packed(
         cls,
-        encoded: Optional[np.ndarray],
-        conductances: List[np.ndarray],
+        encoded: np.ndarray,
         ctx: SimContext,
         mode: str = "analog",
         salt: Union[int, tuple] = 0,
     ) -> "PackedMatmul":
         """Wire a matmul from a pre-packed payload, skipping programming.
 
-        ``(encoded, conductances)`` is a :func:`pack_weights` result (e.g.
-        loaded from a :class:`repro.engine.state.ProgrammedState`, possibly
-        memory-mapped).  With noise enabled, per-trial programming variation
-        is applied here on copies of the base tensors — the same seed-stable
-        draws the one-shot constructor makes, so outputs are bit-identical;
-        the payload itself is never mutated, so a cached state can be shared
-        by any number of executors.
+        ``encoded`` is a :func:`pack_weights` result (e.g. loaded from a
+        :class:`repro.engine.state.ProgrammedState`, possibly
+        memory-mapped).  A chain layer derives its conductances from it and
+        applies per-trial programming variation and faults on those fresh
+        tensors — the same seed-stable draws the one-shot constructor makes,
+        so outputs are bit-identical; the payload itself is never mutated,
+        so a cached state can be shared by any number of executors.
         """
         if mode not in MODES:
             raise EngineError(f"unknown engine mode {mode!r}; choose from: {MODES}")
-        if mode == "ideal":
-            if encoded is None:
-                raise EngineError("ideal-mode packed state is missing its encoded matrix")
-        elif len(conductances) != ctx.arch.cols_per_weight:
+        if encoded is None or encoded.ndim != 3:
             raise EngineError(
-                f"analog packed state holds {len(conductances)} slice tensors; "
-                f"this architecture needs {ctx.arch.cols_per_weight}"
+                "packed state needs its (groups, rows, group_cols) encoded levels"
             )
         matmul = cls.__new__(cls)
-        matmul._wire(encoded, conductances, ctx, mode, salt)
+        matmul._wire(encoded, ctx, mode, salt)
         return matmul
 
     def _wire(
         self,
-        encoded: Optional[np.ndarray],
-        conductances: List[np.ndarray],
+        encoded: np.ndarray,
         ctx: SimContext,
         mode: str,
         salt: Union[int, tuple],
     ) -> None:
-        """Cheap construction from a packed payload (geometry + noise scopes)."""
+        """Cheap construction from a packed payload (geometry, noise, faults)."""
         arch = ctx.arch
-        shape = encoded.shape if encoded is not None else conductances[0].shape
         self.ctx = ctx
         self.mode = mode
-        self.n_groups, self.rows_needed, self.group_cols = shape
+        self.n_groups, self.rows_needed, self.group_cols = encoded.shape
         self.out_cols = self.n_groups * self.group_cols
         #: offset making the encoded levels unsigned; removed digitally
         self.offset = 2 ** (arch.weight_bits - 1)
@@ -294,11 +275,44 @@ class PackedMatmul:
             )
         self.col_tiles = math.ceil(self.group_cols / weights_per_tile)
         self.n_slices = arch.cols_per_weight
-        #: arithmetic precision of this layer's packed tensors — decided at
-        #: packing time (pack_weights may have fallen back to float64 for
-        #: exactness), so it is read off the payload, not the context
-        payload = encoded if encoded is not None else conductances[0]
-        self.compute_dtype = np.dtype(payload.dtype)
+        #: (start, height) of every row tile in the packed row axis
+        self._row_spans: List[Tuple[int, int]] = [
+            (rt * arch.rows, min(arch.rows, self.rows_needed - rt * arch.rows))
+            for rt in range(self.row_tiles)
+        ]
+        #: arithmetic precision of the time-domain chain (the exact
+        #: read-out picks its own GEMM dtype, see ``_exact_dtype``)
+        self.compute_dtype = ctx.np_compute_dtype
+        #: hot-loop tier request — performance metadata off the context
+        #: (compare=False there, absent from every content key)
+        self._kernel: Optional[str] = ctx.kernel
+
+        noise = ctx.noise if mode == "analog" else None
+        faults = ctx.faults if mode == "analog" else None
+        varied = noise is not None and noise.reram_conductance_sigma > 0
+        self._jittered = noise is not None and noise.dtc_sigma > 0
+        faulted = faults is not None and faults.active
+        #: how this layer is read out: the exact integer product, or the
+        #: time-domain chain when there is a non-ideality to model
+        self.readout = "chain" if varied or self._jittered or faulted else "exact"
+        self.fault_report = None
+        self._saturation: Optional[float] = None
+        if self.readout == "exact":
+            self._weights = encoded.astype(
+                _exact_dtype(arch, self.rows_needed), order="K"
+            )
+            #: raw codes in the GEMM dtype, no delay sums
+            self.operand_dtype = self._weights.dtype
+            self.operand_scale = 1.0
+            self.sum_tile_rows: Optional[int] = None
+            #: float32 GEMMs run per row tile; wider ones in one pass
+            self._gemm_spans = (
+                self._row_spans
+                if self.operand_dtype == np.float32
+                else [(0, self.rows_needed)]
+            )
+            return
+
         #: power-of-two digital recombination weights of the slice cascade.
         #: Always float64: the recombination and offset correction work on
         #: ``~offset * sum(codes)``-magnitude operands whose difference is
@@ -309,96 +323,49 @@ class PackedMatmul:
         self.shifts = np.array(
             [float(2 ** (arch.cell_bits * s)) for s in range(self.n_slices)]
         )
-        #: (start, height) of every row tile in the packed row axis
-        self._row_spans: List[Tuple[int, int]] = [
-            (rt * arch.rows, min(arch.rows, self.rows_needed - rt * arch.rows))
-            for rt in range(self.row_tiles)
-        ]
         #: chain scalars shared by every tile of the layer (full tile height)
         self.spec = TimeDomainChainSpec.from_context(ctx)
-        #: hot-loop tier request and chunk-walk worker count — performance
-        #: metadata off the context (compare=False there, absent from every
-        #: content key); results do not depend on either
-        self._kernel: Optional[str] = ctx.kernel
-        self._threads = int(ctx.threads)
         #: noise scopes derived from (seed, salt) — construction-order free
         salt_parts = salt if isinstance(salt, tuple) else (salt,)
-        program_noise = None
         self._read_noise = None
-        if ctx.noise is not None:
-            program_noise = ctx.noise.stream("packed", *salt_parts, "program")
-            self._read_noise = ctx.noise.stream("packed", *salt_parts, "read")
-
-        #: how the gather converts this layer's codes (convert once, then
-        #: forward): DTC pulse widths in the compute dtype, except that
-        #: ideal mode wants the raw codes in the encoded dtype and a
-        #: jittered DTC draws on the raw codes (as float64) itself
-        self._jittered = (
-            mode == "analog"
-            and self._read_noise is not None
-            and self._read_noise.dtc_sigma > 0
-        )
+        if noise is not None:
+            self._read_noise = noise.stream("packed", *salt_parts, "read")
+        #: how the gather converts this layer's codes: DTC pulse widths in
+        #: the compute dtype, except that a jittered DTC draws on the raw
+        #: codes (as float64) itself and sums its own pulses
         self.operand_dtype = np.dtype(np.float64) if self._jittered else self.compute_dtype
-        self.operand_scale = 1.0 if self._jittered or mode == "ideal" else self.spec.dtc.t_del_s
-        #: row-tile height of the gather's delay sums: the noiseless analog
-        #: chain only (ideal mode needs none, a jittered DTC sums its own)
-        self.sum_tile_rows = arch.rows if mode == "analog" and not self._jittered else None
+        self.operand_scale = 1.0 if self._jittered else self.spec.dtc.t_del_s
+        self.sum_tile_rows = None if self._jittered else arch.rows
 
-        self._encoded = encoded
-        if program_noise is not None:
-            # per-executor programming variation over the shared base tensors;
-            # draws are consumed slice-by-slice exactly as the one-shot
-            # constructor consumed them, so results stay bit-identical
+        # fresh per-layer tensors, so variation and faults never touch the
+        # shared payload — possibly a read-only mmap of a cached state
+        self._conductances = slice_conductances(encoded, arch, self.compute_dtype)
+        if varied:
+            # draws are consumed slice by slice, as they always were
+            program_noise = noise.stream("packed", *salt_parts, "program")
             self._conductances = [
-                program_noise.apply_conductance_variation(c) for c in conductances
+                program_noise.apply_conductance_variation(c) for c in self._conductances
             ]
-        else:
-            self._conductances = list(conductances)
+        if faults is not None and faults.cell_active:
+            from repro.faults import FaultReport, apply_tile_faults
 
-        # hard faults (stuck cells / drift / saturation): wiring-time, like
-        # variation, so the shared payload — possibly a read-only mmap of a
-        # cached ProgrammedState — is never mutated and stays fault-free
-        faults = ctx.faults
-        self.fault_report = None
-        self._saturation = None
-        if mode == "analog" and faults is not None and faults.active:
-            if faults.cell_active:
-                from repro.faults import FaultReport, apply_tile_faults
-
-                varied = (
-                    program_noise is not None
-                    and program_noise.reram_conductance_sigma > 0
-                )
-                if not varied:
-                    # the variation path above already produced fresh
-                    # writable tensors; otherwise fault on private copies
-                    self._conductances = [
-                        c.copy(order="K") for c in self._conductances
-                    ]
-                cell = arch.cell_spec()
-                report = FaultReport()
-                for g in range(self.n_groups):
-                    for rt, (r0, height) in enumerate(self._row_spans):
-                        views = [
-                            c[g, r0 : r0 + height, :] for c in self._conductances
-                        ]
-                        report.merge(
-                            apply_tile_faults(
-                                views,
-                                cell,
-                                faults,
-                                arch.spare_rows,
-                                ("packed", *salt_parts, "fault", g, rt),
-                            )
+            cell = arch.cell_spec()
+            report = FaultReport()
+            for g in range(self.n_groups):
+                for rt, (r0, height) in enumerate(self._row_spans):
+                    views = [c[g, r0 : r0 + height, :] for c in self._conductances]
+                    report.merge(
+                        apply_tile_faults(
+                            views,
+                            cell,
+                            faults,
+                            arch.spare_rows,
+                            ("packed", *salt_parts, "fault", g, rt),
                         )
-                self.fault_report = report
-            if faults.readout_saturation is not None:
-                self._saturation = float(faults.readout_saturation)
-        # exactness bound for the float integer matmul of the ideal path,
-        # checked at the *stored* precision (pack_weights already widened
-        # a float32 request that could not stay exact)
-        bound = _EXACT_FLOAT_BOUNDS.get(self.compute_dtype, _EXACT_FLOAT_BOUND)
-        self._ideal_exact = _worst_product_sum(arch, self.rows_needed) < bound
+                    )
+            self.fault_report = report
+        if faults is not None and faults.readout_saturation is not None:
+            self._saturation = float(faults.readout_saturation)
 
     @property
     def crossbars(self) -> int:
@@ -407,9 +374,10 @@ class PackedMatmul:
 
     @property
     def packed_bytes(self) -> int:
-        """Bytes held by the packed weight state (conductances or levels)."""
-        if self._encoded is not None:
-            return self._encoded.nbytes
+        """Bytes of the wired weight tensors the read-out multiplies: the
+        exact GEMM's level copy, or the chain's per-slice conductances."""
+        if self.readout == "exact":
+            return self._weights.nbytes
         return sum(g.nbytes for g in self._conductances)
 
     def gather(
@@ -454,24 +422,24 @@ class PackedMatmul:
         code_sums: np.ndarray,
         delay_sums: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Drive the packed slices with converted inputs and recombine.
+        """Drive the packed layer with converted inputs and recombine.
 
         ``operand`` is the ``(positions, n_groups * rows_needed)``
         position-major crossbar input that
         :func:`repro.kernels.dispatch.im2col_pack` produced with this
-        layer's :attr:`operand_scale` / :attr:`operand_dtype` — in the
-        noiseless analog case the DTC pulse widths themselves.  TIMELY's
-        O²IR converts each input once and forwards the time pulse through
-        the X-subBufs to every crossbar that needs it; here the single
-        converted operand is read, unchanged and uncopied, by every row
-        tile and bit-cell slice of every group (a ``(G, positions, R)``
-        view).  ``code_sums`` is the gather's ``(n_groups, positions)``
-        exact integer code sum per group, the operand of the digital
-        offset removal.  ``delay_sums`` is the gather's ``(row_tiles,
-        n_groups, positions)`` per-crossbar pulse-width sums over
-        :attr:`sum_tile_rows`-high row tiles — required by the noiseless
-        analog read-out, ignored otherwise.  Returns the signed dot
-        products as ``(positions, out_cols)``.
+        layer's :attr:`operand_scale` / :attr:`operand_dtype` — the raw
+        codes for the exact read-out, the DTC pulse widths for the
+        unjittered chain.  TIMELY's O²IR converts each input once and
+        forwards the time pulse through the X-subBufs to every crossbar
+        that needs it; here the single converted operand is read,
+        unchanged and uncopied, by every row tile and bit-cell slice of
+        every group (a ``(G, positions, R)`` view).  ``code_sums`` is the
+        gather's ``(n_groups, positions)`` exact integer code sum per
+        group, the operand of the digital offset removal.  ``delay_sums``
+        is the gather's ``(row_tiles, n_groups, positions)`` per-crossbar
+        pulse-width sums over :attr:`sum_tile_rows`-high row tiles —
+        required by the unjittered chain, ignored otherwise.  Returns the
+        signed dot products as ``(positions, out_cols)``.
         """
         positions = operand.shape[0]
         # (G, positions, R): one leading matmul axis per weight-sharing group
@@ -479,16 +447,8 @@ class PackedMatmul:
             positions, self.n_groups, self.rows_needed
         ).transpose(1, 0, 2)
 
-        if self.mode == "ideal":
-            if self._ideal_exact:
-                # float32 payloads are exact here by construction (the
-                # pack-time bound check), so the upcast back to float64
-                # for the digital correction is lossless
-                products = (grouped @ self._encoded).astype(np.float64, copy=False)
-            else:  # fall back to (slow) integer matmul beyond the float bound
-                products = (
-                    grouped.astype(np.int64) @ self._encoded.astype(np.int64, order="K")
-                ).astype(np.float64)
+        if self.readout == "exact":
+            products = self._exact_products(grouped)
         else:
             delays = grouped  # the DTC pulse widths themselves
             if self._jittered:
@@ -504,7 +464,7 @@ class PackedMatmul:
                 )
             elif delay_sums is None:
                 raise EngineError(
-                    "the noiseless analog read-out needs the gather's delay "
+                    "the time-domain read-out needs the gather's delay "
                     "sums: pass im2col_pack(..., tile_rows=sum_tile_rows)[2]"
                 )
             products = self._analog_products(delays, delay_sums)
@@ -522,22 +482,46 @@ class PackedMatmul:
         np.subtract(products, (self.offset * code_sums)[:, :, None], out=target)
         return target.transpose(1, 0, 2).reshape(positions, self.out_cols)
 
-    def _position_chunk(self, positions: int) -> int:
-        """Positions per charge chunk under ``ctx.chunk_bytes`` (all if unset)."""
+    def _position_spans(self, positions: int, per_position: int) -> List[Tuple[int, int]]:
+        """``(start, length)`` position chunks whose working set, at
+        ``per_position`` bytes each, stays within ``ctx.chunk_bytes`` (one
+        chunk of every position when unset)."""
         budget = self.ctx.chunk_bytes
-        if budget is None:
-            return positions
-        per_position = (
-            self.row_tiles
-            * self.n_slices
-            * self.n_groups
-            * self.group_cols
-            * self.compute_dtype.itemsize
+        chunk = positions
+        if budget is not None:
+            chunk = max(1, min(positions, budget // max(1, per_position)))
+        return [(p0, min(chunk, positions - p0)) for p0 in range(0, positions, chunk)]
+
+    def _exact_products(self, grouped: np.ndarray) -> np.ndarray:
+        """The exact ``(groups, positions, group_cols)`` integer products of
+        raw codes against the encoded levels, in float64.
+
+        One GEMM per entry of ``_gemm_spans`` — every row tile for float32,
+        where each tile's sums stay below ``2**24``, else the whole row
+        axis — into a reusable buffer, summed into the float64 output.
+        Every partial sum is an integer the GEMM dtype holds exactly, so
+        the result is independent of BLAS blocking, summation order and
+        the position chunking.
+        """
+        positions = grouped.shape[1]
+        weights = self._weights
+        out = np.zeros((self.n_groups, positions, self.group_cols))
+        spans = self._position_spans(
+            positions, self.n_groups * self.group_cols * weights.itemsize
         )
-        return max(1, min(positions, budget // max(1, per_position)))
+        part = np.empty((self.n_groups, spans[0][1], self.group_cols), weights.dtype)
+        for p0, n in spans:
+            for r0, height in self._gemm_spans:
+                np.matmul(
+                    grouped[:, p0 : p0 + n, r0 : r0 + height],
+                    weights[:, r0 : r0 + height, :],
+                    out=part[:, :n],
+                )
+                out[:, p0 : p0 + n] += part[:, :n]
+        return out
 
     def _chunk_buffer(self, chunk: int) -> np.ndarray:
-        """One reusable charge buffer for the chunk walk."""
+        """One reusable charge buffer for the chain's chunk walk."""
         return np.empty(
             (self.row_tiles, self.n_slices, self.n_groups, chunk, self.group_cols),
             dtype=self.compute_dtype,
@@ -552,14 +536,7 @@ class PackedMatmul:
         n: int,
         charges: np.ndarray,
     ) -> None:
-        """Charge, read out and recombine positions ``[p0, p0 + n)``.
-
-        Fills the chunk's slice of ``out`` and touches nothing else, so
-        chunks are independent: the serial walk and the thread pool call
-        this identically (on identically-shaped buffers — the chunk split
-        never depends on the worker count), which is what makes threaded
-        results byte-identical to serial ones.
-        """
+        """Charge, read out and recombine positions ``[p0, p0 + n)``."""
         spec = self.spec
         block = charges[:, :, :, :n]
         for rt, (r0, height) in enumerate(self._row_spans):
@@ -584,22 +561,6 @@ class PackedMatmul:
             charge_scale=spec.v_dd,
             kernel=self._kernel,
         )
-
-    def _run_chunk_pooled(
-        self,
-        delays: np.ndarray,
-        delay_sums: np.ndarray,
-        out: np.ndarray,
-        p0: int,
-        n: int,
-        buffer_pool: "queue.Queue[np.ndarray]",
-    ) -> None:
-        """Thread-pool task: borrow a charge buffer, run one chunk, return it."""
-        charges = buffer_pool.get()
-        try:
-            self._run_chunk(delays, delay_sums, out, p0, n, charges)
-        finally:
-            buffer_pool.put(charges)
 
     def _analog_products(
         self, delays: np.ndarray, delay_sums: np.ndarray
@@ -628,41 +589,21 @@ class PackedMatmul:
         the entire im2col output.  The full delay tensor (and any DTC
         jitter draw on it) is computed *before* the chunk walk, so noisy
         results are independent of the chunking.
-
-        With ``ctx.threads > 1`` (and more than one chunk) the chunks run
-        concurrently on a bounded :class:`ThreadPoolExecutor` over a pool
-        of per-worker charge buffers — the BLAS matmul and the compiled
-        read-out kernel both release the GIL, so the walk scales with
-        cores.  The chunk split depends only on ``chunk_bytes`` and every
-        chunk writes a disjoint output slice, so the result is
-        byte-identical at any worker count.
         """
         positions = delays.shape[1]
-        chunk = self._position_chunk(positions)
+        spans = self._position_spans(
+            positions,
+            self.row_tiles
+            * self.n_slices
+            * self.n_groups
+            * self.group_cols
+            * self.compute_dtype.itemsize,
+        )
         # float64 accumulator regardless of compute dtype: the slice/tile
         # recombination and the offset correction downstream cancel
         # large-magnitude operands (see the ``shifts`` note in ``_wire``)
         out = np.empty((self.n_groups, positions, self.group_cols))
-        spans = [
-            (p0, min(chunk, positions - p0)) for p0 in range(0, positions, chunk)
-        ]
-        workers = min(self._threads, len(spans))
-        if workers > 1:
-            buffer_pool: "queue.Queue[np.ndarray]" = queue.Queue()
-            for _ in range(workers):
-                buffer_pool.put(self._chunk_buffer(chunk))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        self._run_chunk_pooled,
-                        delays, delay_sums, out, p0, n, buffer_pool,
-                    )
-                    for p0, n in spans
-                ]
-                for future in futures:
-                    future.result()
-        else:
-            charges = self._chunk_buffer(chunk)
-            for p0, n in spans:
-                self._run_chunk(delays, delay_sums, out, p0, n, charges)
+        charges = self._chunk_buffer(spans[0][1])
+        for p0, n in spans:
+            self._run_chunk(delays, delay_sums, out, p0, n, charges)
         return out

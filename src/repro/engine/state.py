@@ -2,8 +2,8 @@
 
 The paper's premise is that in-ReRAM computing amortises a one-time,
 expensive weight-programming phase over many cheap analog inferences.  This
-module gives that phase a product: :class:`ProgrammedState` — the per-layer,
-per-bit-cell-slice conductance tensors plus the quantisation/tiling metadata
+module gives that phase a product: :class:`ProgrammedState` — the per-layer
+offset-encoded cell-level tensors plus the quantisation/tiling metadata
 that :class:`repro.engine.packed.PackedMatmul` otherwise rebuilds inside
 every ``NetworkExecutor`` construction — so programming runs **once** and its
 result is saved, shared across processes, and re-used by any number of
@@ -11,12 +11,15 @@ executions (:meth:`repro.engine.executor.NetworkExecutor.from_state`).
 
 Three design points:
 
-* **Noise-independence.**  The state holds the *base* (noise-free)
-  conductances.  Per-trial programming variation is multiplicative and
-  seed-stable (``(seed, salt)`` streams, see :mod:`repro.circuits.noise`),
-  so it is applied cheaply on top of the base tensors at executor wiring
-  time — one snapshot therefore serves every Monte-Carlo trial of a sweep
-  while staying bit-for-bit identical to programming from scratch.
+* **Noise-independence.**  The state holds the noise-free cell levels, in
+  the narrowest unsigned dtype (``uint8`` for 8-bit weights — an eighth of
+  float64 conductances).  The exact read-out multiplies them directly; a
+  layer that runs the time-domain chain derives its base conductances from
+  them at executor wiring time and applies the per-trial programming
+  variation, which is multiplicative and seed-stable (``(seed, salt)``
+  streams, see :mod:`repro.circuits.noise`), on top — one snapshot
+  therefore serves every Monte-Carlo trial of a sweep while staying
+  bit-for-bit identical to programming from scratch.
 * **Content addressing.**  :func:`state_key` derives a stable key from
   ``(model, ArchSpec, mode, seed, compute_dtype)`` via the same
   :func:`repro.circuits.noise.stable_seed` hashing the sweep store uses, so
@@ -39,7 +42,7 @@ import json
 import os
 import shutil
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
@@ -57,8 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: (2: packed payloads carry a compute dtype — float32 states exist and the
 #: manifest + content key record which precision was programmed; 3: the
 #: packed engine is the only engine path, so manifests and content keys no
-#: longer carry a backend and layers no longer carry a ``q`` payload)
-STATE_FORMAT = 3
+#: longer carry a backend and layers no longer carry a ``q`` payload; 4:
+#: every layer stores one unsigned cell-level tensor in both modes instead
+#: of per-slice conductances or a float encoded matrix)
+STATE_FORMAT = 4
 
 #: metadata filename inside a saved state directory
 _META_NAME = "meta.json"
@@ -76,17 +81,17 @@ def state_key(
     Derived with the same :func:`repro.circuits.noise.stable_seed` hashing
     the sweep keys use (SHA-256 based, stable across processes and Python
     versions).  Noise is deliberately **not** part of the key: the state
-    holds base conductances and per-trial variation is applied on load, so
+    holds cell levels and per-trial variation is applied on load, so
     every noise scale / trial of a Monte-Carlo sweep shares one entry.
-    ``compute_dtype`` **is** part of the key — a float32-programmed payload
-    holds different bytes than a float64 one, so the two must never alias
-    in a shared cache.  The kernel tier (``SimContext.kernel``) and the
-    chunk-walk thread count (``SimContext.threads``) are deliberately
-    **not** part of the key either: they select *how* the read-out runs,
-    not *what* it computes — float64 results are bit-identical across
-    tiers and worker counts (the cross-implementation equivalence tests
-    pin this), so a state programmed under any tier serves every tier.
-    Both fields are ``compare=False`` on the context for the same reason.
+    ``mode`` and ``compute_dtype`` are part of the key: the payload is the
+    same for every mode and precision, but an executor accepts only a
+    state programmed for its own, so the two must never alias in a shared
+    cache.  The kernel tier (``SimContext.kernel``) is deliberately
+    **not** part of the key: it selects *how* the read-out runs, not
+    *what* it computes — float64 results are bit-identical across tiers
+    (the cross-implementation equivalence tests pin this), so a state
+    programmed under any tier serves every tier.  The field is
+    ``compare=False`` on the context for the same reason.
     """
     from repro.circuits.noise import stable_seed
 
@@ -114,10 +119,9 @@ def state_key(
 class LayerState:
     """Programmed artifact of one conv/FC layer.
 
-    Exactly one weight payload is populated, matching ``mode``:
-    ``conductances`` (analog — the base per-slice tensors, noise-free) or
-    ``encoded`` (ideal — the offset-encoded float matrix).  Both are
-    ``(groups, rows_needed, group_cols)`` stacks in im2col layout.
+    ``encoded`` holds the offset-encoded cell levels
+    (:func:`repro.engine.packed.pack_weights`), a ``(groups, rows_needed,
+    group_cols)`` unsigned-integer stack in im2col layout, in both modes.
     """
 
     name: str
@@ -126,23 +130,19 @@ class LayerState:
     out_channels: int
     n_groups: int
     w_scales: np.ndarray  # (out_channels,) per-channel dequantisation scales
+    encoded: np.ndarray  # the weight payload (see class docstring)
     bias: Optional[np.ndarray] = None
     # conv-only geometry (0 for fc)
     stride: int = 0
     pad: int = 0
     kernel: int = 0
-    # weight payloads (see class docstring)
-    encoded: Optional[np.ndarray] = None
-    conductances: List[np.ndarray] = field(default_factory=list)
 
     @property
     def nbytes(self) -> int:
-        total = self.w_scales.nbytes
+        total = self.w_scales.nbytes + self.encoded.nbytes
         if self.bias is not None:
             total += self.bias.nbytes
-        if self.encoded is not None:
-            total += self.encoded.nbytes
-        return total + sum(c.nbytes for c in self.conductances)
+        return total
 
 
 def _layer_from_entry(path: Path, entry: dict, mmap: bool) -> LayerState:
@@ -167,8 +167,7 @@ def _layer_from_entry(path: Path, entry: dict, mmap: bool) -> LayerState:
         stride=entry["stride"],
         pad=entry["pad"],
         kernel=entry["kernel"],
-        encoded=pull_optional(entry["encoded"]),
-        conductances=[pull(name) for name in entry["conductances"]],
+        encoded=pull(entry["encoded"]),
     )
 
 
@@ -188,8 +187,7 @@ class ProgrammedState:
     seed: int
     arch: ArchSpec
     layers: List[LayerState]
-    #: requested packed compute precision (individual ideal-mode layers may
-    #: have fallen back to float64 for exactness — see ``pack_weights``)
+    #: the time-domain chain's precision this state was programmed for
     compute_dtype: str = "float64"
     #: where this state was loaded from (``None`` for in-process states);
     #: set by :meth:`load` and what makes :meth:`stream_layer` possible
@@ -235,9 +233,10 @@ class ProgrammedState:
                 return None
             name = f"{prefix}.npy"
             # np.save records Fortran order natively; preserving the packed
-            # payloads' exact memory layout matters because BLAS picks
-            # summation paths by layout — a C-order copy of the F-ordered
-            # conductances would be bitwise-different downstream
+            # levels' exact memory layout matters because the chain's
+            # conductances inherit it and BLAS picks summation paths by
+            # layout — a C-order copy of F-ordered levels would make the
+            # chain's outputs bitwise-different downstream
             np.save(tmp / name, array)
             return name
 
@@ -257,10 +256,6 @@ class ProgrammedState:
                     "w_scales": dump(f"{prefix}_w_scales", layer.w_scales),
                     "bias": dump(f"{prefix}_bias", layer.bias),
                     "encoded": dump(f"{prefix}_encoded", layer.encoded),
-                    "conductances": [
-                        dump(f"{prefix}_cond{s}", c)
-                        for s, c in enumerate(layer.conductances)
-                    ],
                 }
             )
         meta = {
@@ -297,10 +292,10 @@ class ProgrammedState:
         """Read a state saved by :meth:`save`.
 
         With ``mmap=True`` every tensor is memory-mapped read-only instead of
-        materialised — the larger-than-RAM execution direction: a noiseless
-        packed executor then streams conductance pages from disk as the
-        matmuls touch them (a noisy one still materialises per-trial copies
-        when the variation is applied).
+        materialised — the larger-than-RAM execution direction: wiring a
+        layer reads its level pages from disk into the layer's own GEMM
+        copy or conductances, and a streamed executor drops them again
+        after the layer has run.
         """
         path = Path(path)
         meta_file = path / _META_NAME
@@ -377,8 +372,8 @@ class ProgrammedStateCache:
 
     ``root`` is the persistent cache directory (one content-keyed
     subdirectory per state; ``None`` keeps the cache memory-only).
-    ``memory_entries`` bounds the resident LRU — deep models hold gigabytes
-    of conductances, so the default keeps only a few hot states in RAM and
+    ``memory_entries`` bounds the resident LRU — deep models hold hundreds
+    of megabytes of cell levels, so the default keeps only a few hot states in RAM and
     falls back to (optionally memory-mapped) disk loads for the rest.
     """
 

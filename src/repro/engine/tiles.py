@@ -24,8 +24,9 @@ through, reproducing the paper's execution scheme tile by tile:
   matrix, and the tile partial sums are recombined across row tiles.
 
 The engine itself runs :class:`repro.engine.packed.PackedMatmul`, which
-computes the same read-out on per-slice tensors and is an order of
-magnitude faster.  This module is the independent oracle the differential
+computes the same products — as exact integer GEMMs when there is nothing
+non-ideal to model, else through the same chain on per-slice tensors — and
+is an order of magnitude faster.  This module is the independent oracle the differential
 tests and the bench compare it against, so it stays deliberately plain: it
 runs noiseless and fault-free only (a context carrying either is rejected
 with :class:`~repro.engine.errors.EngineError`) and always computes in

@@ -9,8 +9,7 @@ point:
 ``c``
     Hand-written C (``readout.c``) compiled on first use with the system C
     compiler and loaded through :mod:`ctypes` (which releases the GIL for
-    the duration of every call — the property the threaded chunk walk in
-    ``engine/packed.py`` relies on).  Bit-for-bit identical to the numpy
+    the duration of every call).  Bit-for-bit identical to the numpy
     tier; built lazily into a content-hash-keyed cache, or ahead of time
     via ``python -m repro.kernels.build`` / the optional ``setup.py``
     extension.

@@ -47,8 +47,7 @@
  *
  * The loops touch disjoint data per (t, s, g, p) row, carry no global
  * state, and are called through ctypes (which releases the GIL), so they
- * are safe to run concurrently from the threaded chunk walk in
- * `engine/packed.py`.
+ * are safe to run concurrently from several threads.
  */
 
 #include <stddef.h>

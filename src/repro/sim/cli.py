@@ -38,6 +38,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -95,10 +96,10 @@ def _add_compute_arguments(parser: argparse.ArgumentParser) -> None:
         choices=COMPUTE_DTYPES,
         default=COMPUTE_DTYPES[0],
         help=(
-            "packed-engine arithmetic precision: float64 (default, the "
-            "bit-exact historical path) or float32 (faster large-model "
-            "matmuls; digital recombination stays float64, and ideal-mode "
-            "layers that would lose integer exactness fall back per layer)"
+            "arithmetic precision of the time-domain chain: float64 "
+            "(default, the bit-exact historical path) or float32 (faster "
+            "large-model matmuls; digital recombination stays float64, and "
+            "layers read out exactly ignore it)"
         ),
     )
     parser.add_argument(
@@ -124,17 +125,6 @@ def _add_compute_arguments(parser: argparse.ArgumentParser) -> None:
             "never changes results or content keys)"
         ),
     )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker threads for the chunked packed read-out walk "
-            "(effective with --chunk-bytes and a GIL-releasing kernel "
-            "tier; byte-identical output at any count; default: 1)"
-        ),
-    )
 
 
 def _compute_kwargs(args: argparse.Namespace) -> dict:
@@ -142,7 +132,6 @@ def _compute_kwargs(args: argparse.Namespace) -> dict:
         "compute_dtype": args.compute_dtype,
         "chunk_bytes": args.chunk_bytes,
         "kernel": args.kernel,
-        "threads": args.threads,
     }
 
 
@@ -435,7 +424,7 @@ def build_program_parser() -> argparse.ArgumentParser:
         choices=COMPUTE_DTYPES,
         default=COMPUTE_DTYPES[0],
         help=(
-            "arithmetic precision the state is packed for (part of the "
+            "chain precision the state is programmed for (part of the "
             "content key: a float32 state never aliases a float64 one)"
         ),
     )
@@ -865,7 +854,6 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
             "compute_dtype": args.compute_dtype,
             "chunk_bytes": args.chunk_bytes,
             "kernel": _resolved_kernel(args.kernel),
-            "threads": args.threads,
             "stream": args.stream,
             "crossbars": executor.crossbars,
             "rel_error": _err(result.rel_error),
@@ -900,6 +888,7 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
                     "kind": trace.kind,
                     "crossbars": trace.crossbars,
                     "rel_error": _err(trace.rel_error),
+                    "readout": trace.readout,
                     **(
                         {
                             "stuck_cells": trace.stuck_cells,
@@ -923,11 +912,10 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
     kernel_note = (
         f", kernel {_resolved_kernel(args.kernel)}" if args.kernel != "auto" else ""
     )
-    threads_note = f", {args.threads} threads" if args.threads > 1 else ""
     print(
         f"Engine run — {args.model} ({args.mode}, "
         f"noise x{args.noise:g}, seed {args.seed}{batch_note}"
-        f"{dtype_note}{stream_note}{kernel_note}{threads_note})"
+        f"{dtype_note}{stream_note}{kernel_note})"
     )
     header = f"{'layer':<22} {'kind':<8} {'xbars':>6} {'rel. error':>12}"
     print(header)
@@ -1307,6 +1295,33 @@ def _timed_engine_run(
     return timing
 
 
+def _stream_leg(model: str, state_cache: str, stream: bool) -> dict:
+    """One ``run --no-validate --json`` of ``model`` against ``state_cache``
+    in a fresh interpreter, so its peak RSS is its own.
+
+    The child gets this process's environment with the directory the
+    running ``repro`` package was imported from first on ``PYTHONPATH``:
+    it then imports the same code even when the package is not installed
+    and this process found it through its own ``sys.path``.
+    """
+    import subprocess
+
+    # this file is <root>/repro/sim/cli.py
+    root = str(Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (root, env.get("PYTHONPATH")) if part
+    )
+    cmd = [
+        sys.executable, "-m", "repro.sim", "run", "--model", model,
+        "--state-cache", state_cache, "--no-validate", "--json",
+    ]
+    if stream:
+        cmd.append("--stream")
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
+    return json.loads(proc.stdout)
+
+
 def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     args = build_bench_parser().parse_args(argv)
     output = args.output if args.output is not None else _default_bench_output()
@@ -1524,9 +1539,15 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     # 8. streamed / float32 / chunk-fused execution.
     #    (a) dtype: the same deep packed analog forward at float64 vs
     #    float32 — the gemm and read-out chain drop to single precision
-    #    while digital recombination stays double
+    #    while digital recombination stays double.  compute_dtype only
+    #    acts on the time-domain chain, so the leg runs with programming
+    #    variation (no DTC jitter: its per-call draws are float64 at
+    #    either precision and would only dilute the comparison)
+    variation = replace(HardwareNoiseConfig.ideal(), reram_conductance_sigma=0.01)
     dtype_runs = {
-        dtype: _timed_engine_run(stream_net, SimContext(compute_dtype=dtype), None, repeats=3)
+        dtype: _timed_engine_run(
+            stream_net, SimContext(noise=variation, compute_dtype=dtype), None, repeats=3
+        )
         for dtype in COMPUTE_DTYPES
     }
     #    (b) chunking: the section-2 cnn_1 batch with a bounded read-out
@@ -1536,31 +1557,10 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     #    (c) streaming: resident vs streamed subprocess runs against one
     #    disk-backed programmed state, compared on self-reported peak RSS
     #    (whole process) and peak wired weight bytes (deterministic)
-    import subprocess
-
     with tempfile.TemporaryDirectory() as tmp:
         ProgrammedStateCache(root=tmp).get_or_program(stream_net, SimContext())
-
-        def _stream_leg(stream: bool) -> dict:
-            cmd = [
-                sys.executable,
-                "-m",
-                "repro.sim",
-                "run",
-                "--model",
-                args.stream_model,
-                "--state-cache",
-                tmp,
-                "--no-validate",
-                "--json",
-            ]
-            if stream:
-                cmd.append("--stream")
-            proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
-            return json.loads(proc.stdout)
-
-        resident_leg = _stream_leg(False)
-        streamed_leg = _stream_leg(True)
+        resident_leg = _stream_leg(args.stream_model, tmp, stream=False)
+        streamed_leg = _stream_leg(args.stream_model, tmp, stream=True)
     streaming = {
         "model": args.stream_model,
         "dtype": {
@@ -1603,8 +1603,7 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     # available tier on one resnet_18-class charge block (3 input slices x
     # 2 weight slices x 3136 positions x 64 columns, the conv2_x working
     # set), every tier fed identical inputs through the public dispatch
-    # entry point; plus the threaded chunk walk at 1/2/4 workers on the
-    # section-2 batch.  Tiers are bit-identical in float64 so the fastest
+    # entry point.  Tiers are bit-identical in float64 so the fastest
     # result is also the reference result.
     from repro.circuits.timing import TimeDomainChainSpec
     from repro.kernels import dispatch as kernel_dispatch
@@ -1636,12 +1635,6 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         return best
 
     tier_times = {tier: _time_tier(tier) for tier in kernel_dispatch.available()}
-    threaded_runs = {
-        workers: _timed_engine_run(
-            engine_net, SimContext(chunk_bytes=1 << 16, threads=workers), x, repeats=3
-        )["elapsed_s"]
-        for workers in (1, 2, 4)
-    }
     kernels_bench = {
         "tiers": list(kernel_dispatch.available()),
         "default": kernel_dispatch.default_kernel(),
@@ -1657,12 +1650,6 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         "fused_speedup": (
             tier_times["numpy"] / tier_times["c"] if "c" in tier_times else None
         ),
-        "threaded": {
-            "model": args.engine_model,
-            "chunk_bytes": 1 << 16,
-            "elapsed_s": {str(w): t for w, t in threaded_runs.items()},
-            "speedup": threaded_runs[1] / min(threaded_runs[2], threaded_runs[4]),
-        },
     }
 
     doc = {
@@ -1786,8 +1773,7 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(
         f"  kernels (tiers: {', '.join(kernels_bench['tiers'])}; default "
-        f"{kernels_bench['default']}): {fused_note}; threaded chunk walk "
-        f"{kernels_bench['threaded']['speedup']:.2f}x on "
+        f"{kernels_bench['default']}): {fused_note} on "
         f"{kernels_bench['cores']} core(s)"
     )
     if deep is not None:

@@ -27,8 +27,8 @@ tensors in float64 (about 51 MB for ``mlp_l``).
 The correctness prerequisite is the stateless noise seeding of
 :mod:`repro.circuits.noise`: every draw derives from ``(seed, salt)``, so a
 pool worker computes exactly the row a serial run would (per-trial
-programming variation is applied on top of the shared base conductances
-from the trial's own streams) and equal grids yield byte-identical stores
+programming variation is applied on top of the conductances derived from
+the shared cell levels, from the trial's own streams) and equal grids yield byte-identical stores
 at any worker count.  CLI: ``python -m repro.sim sweep``.
 """
 

@@ -173,15 +173,32 @@ def test_run_non_integer_chunk_bytes_is_a_usage_error(capsys):
     assert "invalid int value" in capsys.readouterr().err
 
 
-def test_run_kernel_and_threads_reported_in_json(capsys):
+def test_run_kernel_and_chunking_reported_in_json(capsys):
     assert cli.main(
         ["run", "--model", "tiny_cnn", "--json", "--kernel", "numpy",
-         "--chunk-bytes", "65536", "--threads", "2"]
+         "--chunk-bytes", "65536"]
     ) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kernel"] == "numpy"
-    assert doc["threads"] == 2
     assert doc["chunk_bytes"] == 65536
+
+
+@pytest.mark.parametrize(
+    "flags,readout",
+    [
+        ([], "exact"),  # nothing non-ideal to model
+        (["--noise", "1"], "chain"),
+        (["--saturation", "0.5"], "chain"),
+    ],
+)
+def test_run_json_reports_each_layers_readout(capsys, flags, readout):
+    assert cli.main(["run", "--model", "cnn_1", "--json"] + flags) == 0
+    layers = json.loads(capsys.readouterr().out)["layers"]
+    compute = [layer for layer in layers if layer["kind"] in ("conv", "fc")]
+    assert compute and all(layer["readout"] == readout for layer in compute)
+    assert all(
+        layer["readout"] is None for layer in layers if layer["kind"] not in ("conv", "fc")
+    )
 
 
 def test_run_kernel_tiers_agree_bitwise(capsys):
@@ -484,7 +501,8 @@ def test_program_compute_dtype_gets_its_own_key(tmp_path, capsys):
     assert f32["compute_dtype"] == "float32"
     assert f32["source"] == "programmed"  # no aliasing with the f64 entry
     assert f32["key"] != f64["key"]
-    assert f32["state_mb"] < f64["state_mb"]  # half-width payload
+    # one cell-level payload serves every precision
+    assert f32["state_mb"] == f64["state_mb"]
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +579,21 @@ def test_bench_writes_artifact(tmp_path, capsys):
     assert stream["resident_peak_rss_mb"] > 0
     assert stream["streamed_peak_rss_mb"] > 0
     assert doc["deep_engine"] is None  # no --deep-model given
+
+
+def test_bench_stream_leg_runs_without_pythonpath(tmp_path, monkeypatch):
+    """The streaming legs' subprocess finds the package that launched it,
+    as under a bare ``python -m pytest`` with no ``PYTHONPATH`` set."""
+    from repro.context import SimContext
+    from repro.engine import ProgrammedStateCache
+    from repro.nn.models import build_model
+
+    ProgrammedStateCache(root=tmp_path).get_or_program(build_model("tiny_mlp"), SimContext())
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.chdir(tmp_path)  # nothing importable from the working directory
+    leg = cli._stream_leg("tiny_mlp", str(tmp_path), stream=True)
+    assert leg["model"] == "tiny_mlp" and leg["stream"] is True
+    assert leg["programming"]["cache"] == "disk"
 
 
 def test_bench_default_output_is_repo_root():

@@ -1,8 +1,7 @@
-"""Float32 compute-path tests: packed dtype parity against the float64
-reference across modes and cell splits, the ideal-mode exactness fallback
-(requested float32 silently reverts to float64 per layer when the
-worst-case product sum would overflow the 24-bit mantissa), layout
-preservation of the ideal pack, chunk-fused read-out equivalence and the
+"""Precision tests: float32 chain parity against the float64 chain across
+cell splits, the exact read-out's independence of ``compute_dtype`` and its
+GEMM-dtype case split (float32 row tiles, one float64 GEMM, int64), the
+narrow unsigned level payload and its layout, chunk-invariance and the
 end-to-end accuracy-at-the-quantisation-floor bars."""
 
 import numpy as np
@@ -11,12 +10,12 @@ import pytest
 from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import COMPUTE_DTYPES, ArchSpec, SimContext
 from repro.engine import (
-    EngineError,
+    FaultModel,
     NetworkExecutor,
     PackedMatmul,
     relative_error,
 )
-from repro.engine.packed import _EXACT_FLOAT_BOUNDS, _worst_product_sum, pack_weights
+from repro.engine.packed import _exact_dtype, pack_weights, slice_conductances
 from repro.engine.tiles import TiledMatmul
 
 RNG = np.random.default_rng(17)
@@ -64,13 +63,17 @@ def test_tiled_oracle_is_the_float64_reference_regardless_of_request():
 # matmul-level parity: float32 vs the float64 reference
 # ---------------------------------------------------------------------------
 
+#: forces the time-domain chain without perturbing a single value: the
+#: chain's own clips keep every estimate at or below ``dot_max``
+CHAIN = FaultModel(readout_saturation=1.0)
+
+
 @pytest.mark.parametrize(
     "weight_bits,cell_bits",
     [(4, 4), (8, 4), (16, 4)],  # cols_per_weight = 1, 2, 4
 )
-@pytest.mark.parametrize("mode", ["analog", "ideal"])
-def test_packed_float32_tracks_float64_within_1e4(weight_bits, cell_bits, mode):
-    """Single-layer float32 read-out stays within 1e-4 of float64.
+def test_chain_float32_tracks_float64_within_1e4(weight_bits, cell_bits):
+    """Single-layer float32 chain read-out stays within 1e-4 of float64.
 
     (Observed ~1e-5 at up to 2048 rows; the pinned bar leaves headroom.)
     The result dtype stays float64 either way: only the gemm and the
@@ -79,121 +82,126 @@ def test_packed_float32_tracks_float64_within_1e4(weight_bits, cell_bits, mode):
     """
     arch = ArchSpec(rows=16, cols=16, weight_bits=weight_bits, cell_bits=cell_bits)
     q, codes = _codes_and_weights(arch, 40, 21)
-    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch), mode), codes)
-    packed32 = PackedMatmul(q, SimContext(arch=arch, compute_dtype="float32"), mode)
+    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch, faults=CHAIN)), codes)
+    packed32 = PackedMatmul(
+        q, SimContext(arch=arch, compute_dtype="float32", faults=CHAIN)
+    )
+    assert packed32.readout == "chain"
     out = _packed_run(packed32, codes)
     assert out.dtype == np.float64
     assert relative_error(out, ref) <= 1e-4
 
 
-def test_packed_float32_grouped_tracks_float64():
+def test_chain_float32_grouped_tracks_float64():
     arch = ArchSpec(rows=16, cols=16)
     qmax = 2 ** (arch.weight_bits - 1) - 1
     q = RNG.integers(-qmax, qmax + 1, size=(3, 20, 7))  # 3 groups
     codes = RNG.integers(0, 2 ** arch.input_bits, size=(4, 3 * 20))
-    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch), "analog"), codes)
+    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch, faults=CHAIN)), codes)
     out = _packed_run(
-        PackedMatmul(q, SimContext(arch=arch, compute_dtype="float32"), "analog"), codes
+        PackedMatmul(q, SimContext(arch=arch, compute_dtype="float32", faults=CHAIN)),
+        codes,
     )
     assert relative_error(out, ref) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
-# ideal-mode exactness: honoured request vs per-layer fallback
+# the exact read-out: compute_dtype has no say, the GEMM dtype follows the
+# exactness bound
 # ---------------------------------------------------------------------------
 
-def test_ideal_float32_is_exact_below_the_mantissa_bound():
-    """A small-rows ideal layer honours float32 and still matches bit-exact."""
-    arch = ArchSpec()
-    q, codes = _codes_and_weights(arch, 40, 21, positions=3)
-    assert _worst_product_sum(arch, 40) < _EXACT_FLOAT_BOUNDS[np.dtype(np.float32)]
-    small = PackedMatmul(q, SimContext(compute_dtype="float32"), "ideal")
-    assert small.compute_dtype == np.float32
-    ref = PackedMatmul(q, SimContext(), "ideal")
-    assert ref.compute_dtype == np.float64
-    assert np.array_equal(_packed_run(small, codes), _packed_run(ref, codes))
-
-
-def test_ideal_float32_falls_back_to_float64_above_the_bound():
-    """A deep-rows ideal layer ignores the float32 request, staying exact."""
-    arch = ArchSpec()
-    # 8-bit codes x 8-bit weights: worst product sum is 65280 per row, so
-    # anything past ~257 rows overflows float32's 24-bit mantissa
-    q, codes = _codes_and_weights(arch, 400, 21, positions=3)
-    assert _worst_product_sum(arch, 400) >= _EXACT_FLOAT_BOUNDS[np.dtype(np.float32)]
-    big = PackedMatmul(q, SimContext(compute_dtype="float32"), "ideal")
-    assert big.compute_dtype == np.float64
-    ref = PackedMatmul(q, SimContext(), "ideal")
-    assert np.array_equal(_packed_run(big, codes), _packed_run(ref, codes))
-
-
-def test_network_fallback_is_per_layer():
-    """In one ideal float32 network, only the deep-rows layers fall back."""
-    from repro.nn.models import build_model
-
-    network = build_model("cnn_1")
-    ctx = SimContext(compute_dtype="float32")
-    executor = NetworkExecutor(network, ctx, mode="ideal")
-    dtypes = {
-        name: layer._packed.compute_dtype
-        for name, layer in executor._compute.items()
-    }
-    assert set(dtypes.values()) == {np.dtype(np.float32), np.dtype(np.float64)}
-    for name, layer in executor._compute.items():
-        bound = _EXACT_FLOAT_BOUNDS[np.dtype(np.float32)]
-        expected = (
-            np.float64
-            if _worst_product_sum(ctx.arch, layer._packed.rows_needed) >= bound
-            else np.float32
-        )
-        assert dtypes[name] == np.dtype(expected), name
-
-
-def test_pack_weights_rejects_unsupported_dtypes():
+@pytest.mark.parametrize("mode", ["analog", "ideal"])
+def test_exact_readout_ignores_compute_dtype(mode):
     arch = ArchSpec(rows=16, cols=16)
+    q, codes = _codes_and_weights(arch, 40, 21)
+    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch), mode), codes)
+    out = _packed_run(
+        PackedMatmul(q, SimContext(arch=arch, compute_dtype="float32"), mode), codes
+    )
+    assert out.tobytes() == ref.tobytes()
+    np.testing.assert_array_equal(out, codes @ q)
+
+
+@pytest.mark.parametrize(
+    "arch,rows,expected",
+    [
+        # 255 * 255 * 256 < 2**24: one float32 GEMM per 256-row tile, any depth
+        (ArchSpec(), 4608, np.float32),
+        # 16-bit weights overflow float32 per tile, fit float64 per layer
+        (ArchSpec(rows=16, cols=16, weight_bits=16), 40, np.float64),
+        # 24-bit codes and weights overflow float64 past 32 rows
+        (ArchSpec(rows=16, cols=16, weight_bits=24, input_bits=24), 40, np.int64),
+    ],
+)
+def test_exact_gemm_dtype_follows_the_exactness_bound(arch, rows, expected):
+    assert _exact_dtype(arch, rows) == np.dtype(expected)
+    q, codes = _codes_and_weights(arch, rows, 7, positions=3)
+    packed = PackedMatmul(q, SimContext(arch=arch), "ideal")
+    assert packed.operand_dtype == np.dtype(expected)
+    # float32 runs per row tile, wider dtypes in one GEMM over every row
+    tiles = packed.row_tiles if expected is np.float32 else 1
+    assert len(packed._gemm_spans) == tiles
+    exact = (codes @ q).astype(np.float64)
+    np.testing.assert_array_equal(_packed_run(packed, codes), exact)
+
+
+def test_context_rejects_unsupported_dtypes():
+    with pytest.raises(ValueError, match="compute dtype"):
+        SimContext(compute_dtype="float16")
+
+
+# ---------------------------------------------------------------------------
+# the payload: narrowest unsigned levels, in the im2col stack's memory order
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "weight_bits,dtype", [(4, np.uint8), (8, np.uint8), (12, np.uint16), (16, np.uint16)]
+)
+def test_pack_weights_stores_narrowest_unsigned_levels(weight_bits, dtype):
+    arch = ArchSpec(rows=16, cols=16, weight_bits=weight_bits)
     q, _ = _codes_and_weights(arch, 20, 9)
-    with pytest.raises(EngineError):
-        pack_weights(q, arch, "ideal", "float16")
+    encoded = pack_weights(q[None], arch)
+    assert encoded.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(encoded[0], q + 2 ** (weight_bits - 1))
 
 
-# ---------------------------------------------------------------------------
-# layout pinning: the ideal pack must keep the im2col stack's memory order
-# ---------------------------------------------------------------------------
-
-def test_ideal_pack_preserves_fortran_layout():
-    """The ideal branch keeps q's F-order (it used to force C-contiguity).
+def test_pack_preserves_fortran_layout():
+    """The levels keep q's F-order, and the chain's conductances inherit it.
 
     Layout matters downstream: BLAS picks summation paths by operand
-    memory order, so discarding the layout silently changed performance.
+    memory order, so the chain's bytes depend on it.
     """
     arch = ArchSpec(rows=16, cols=16)
     qmax = 2 ** (arch.weight_bits - 1) - 1
-    q = np.asfortranarray(RNG.integers(-qmax, qmax + 1, size=(40, 21)))
+    q = np.asfortranarray(RNG.integers(-qmax, qmax + 1, size=(40, 21)))[None]
+    encoded = pack_weights(q, arch)
+    assert encoded.flags.f_contiguous and not encoded.flags.c_contiguous
+    assert encoded.dtype == np.uint8
+    np.testing.assert_array_equal(encoded, q + 2 ** (arch.weight_bits - 1))
     for dtype in COMPUTE_DTYPES:
-        encoded, conductances = pack_weights(q, arch, "ideal", dtype)
-        assert conductances == []
-        assert encoded.flags.f_contiguous and not encoded.flags.c_contiguous
-        assert encoded.dtype == np.dtype(dtype)  # 40 rows: float32 honoured
-        assert np.array_equal(encoded, q + 2 ** (arch.weight_bits - 1))
+        for g in slice_conductances(encoded, arch, np.dtype(dtype)):
+            assert g.flags.f_contiguous and not g.flags.c_contiguous
+            assert g.dtype == np.dtype(dtype)
 
 
 # ---------------------------------------------------------------------------
 # chunk-fused read-out
 # ---------------------------------------------------------------------------
 
-def test_chunked_readout_matches_unchunked_within_1e12():
-    """Bounded-chunk analog read-out agrees with the single-pass path.
+def test_chunked_chain_matches_unchunked_within_1e12():
+    """Bounded-chunk chain read-out agrees with the single-pass path.
 
     Not pinned bit-identical — BLAS may pick different summation orders
     for the blocked gemm — but the float-rounding bar is 1e-12 (observed
     0.0 on cnn_1 at 64 KB chunks)."""
     arch = ArchSpec(rows=32, cols=32)
     q, codes = _codes_and_weights(arch, 70, 40, positions=50)
-    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch), "analog"), codes)
+    ref = _packed_run(PackedMatmul(q, SimContext(arch=arch, faults=CHAIN)), codes)
     chunked = _packed_run(
-        PackedMatmul(q, SimContext(arch=arch, chunk_bytes=4096), "analog"), codes
+        PackedMatmul(q, SimContext(arch=arch, chunk_bytes=4096, faults=CHAIN)), codes
     )
     assert relative_error(chunked, ref) <= 1e-12
+
 
 
 def test_chunking_does_not_change_noisy_results():
@@ -218,11 +226,12 @@ def test_chunked_network_run_matches_unchunked():
     from repro.nn.models import build_model
 
     network = build_model("tiny_cnn")
-    ref = NetworkExecutor(network, SimContext(), mode="analog").run(validate=False)
-    chunked = NetworkExecutor(
-        network, SimContext(chunk_bytes=8192), mode="analog"
-    ).run(validate=False)
-    assert relative_error(chunked.output, ref.output) <= 1e-12
+    for faults in (None, CHAIN):
+        ref = NetworkExecutor(network, SimContext(faults=faults)).run(validate=False)
+        chunked = NetworkExecutor(
+            network, SimContext(chunk_bytes=8192, faults=faults)
+        ).run(validate=False)
+        assert relative_error(chunked.output, ref.output) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +248,9 @@ def test_float32_accuracy_stays_at_the_quantisation_floor(model):
     from repro.nn.models import build_model
 
     network = build_model(model)
-    rel64 = NetworkExecutor(network, SimContext(), mode="analog").run().rel_error
+    rel64 = NetworkExecutor(network, SimContext(faults=CHAIN)).run().rel_error
     rel32 = (
-        NetworkExecutor(network, SimContext(compute_dtype="float32"), mode="analog")
+        NetworkExecutor(network, SimContext(compute_dtype="float32", faults=CHAIN))
         .run()
         .rel_error
     )

@@ -6,6 +6,7 @@ per-trial decorrelation and the ideal-mode no-op."""
 import numpy as np
 import pytest
 
+from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import ArchSpec, SimContext
 from repro.engine import NetworkExecutor, program
 from repro.engine.state import ProgrammedState
@@ -196,9 +197,15 @@ def test_remap_recovers_part_of_the_fault_error():
 
 
 def test_saturation_one_is_a_bit_exact_noop():
-    clean = _run()
-    saturated = _run(ctx=SimContext(faults=FaultModel(readout_saturation=1.0)))
-    assert saturated.rel_error == clean.rel_error
+    """The chain's own clips keep every estimate at or below ``dot_max``, so
+    a saturation point of 1.0 changes no bit of a chain run (noise keeps the
+    unsaturated run on the chain too)."""
+    noise = HardwareNoiseConfig.scaled(1.0, seed=2)
+    clean = _run(ctx=SimContext(noise=noise))
+    saturated = _run(
+        ctx=SimContext(noise=noise, faults=FaultModel(readout_saturation=1.0))
+    )
+    assert saturated.output.tobytes() == clean.output.tobytes()
 
 
 def test_saturation_clipping_degrades_accuracy():
@@ -235,14 +242,13 @@ def test_programmed_state_stays_fault_free(tmp_path):
     network = build_model("tiny_cnn")
     ctx = SimContext()
     state = program(network, ctx, "analog")
-    before = [[c.copy() for c in layer.conductances] for layer in state.layers]
+    before = [layer.encoded.copy() for layer in state.layers]
     faulted = NetworkExecutor(
         network, SimContext(faults=STUCK), mode="analog", state=state
     ).run()
     assert faulted.stuck_cells > 0
     for layer, saved in zip(state.layers, before):
-        for conductances, copy in zip(layer.conductances, saved):
-            np.testing.assert_array_equal(conductances, copy)
+        np.testing.assert_array_equal(layer.encoded, saved)
     clean = NetworkExecutor(network, ctx, mode="analog", state=state).run()
     assert clean.rel_error == NetworkExecutor(network, ctx, mode="analog").run().rel_error
 

@@ -2,19 +2,20 @@
 
 Every available tier must reproduce the numpy reference bit-for-bit in
 float64 (the reference *is* the historical read-out arithmetic, extracted
-verbatim), stay within float rounding in float32, and the threaded chunk
-walk must be byte-identical at any worker count.  Dispatch policy —
+verbatim), stay within float rounding in float32, and the chunk walk
+must not change the exact read-out by a byte.  Dispatch policy —
 selection order, ``REPRO_KERNEL``, unknown-tier errors, graceful
 degradation — is exercised through the same public entry points the
 engine uses.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.circuits.noise import stable_seed
+from repro.circuits.noise import HardwareNoiseConfig, stable_seed
 from repro.circuits.timing import TimeDomainChainSpec
 from repro.context import SimContext
 from repro.engine import NetworkExecutor
@@ -258,21 +259,27 @@ def test_engine_conv_reaches_the_compiled_gather(monkeypatch):
     """
     lib = c_impl.load()
     calls = []
-    real = lib.im2col_gather_f64
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(real):
+        def gather(*args):
+            calls.append(args)
+            return real(*args)
+
+        return gather
 
     def no_fallback(*args, **kwargs):
         raise AssertionError("numpy gather fallback on the c tier")
 
-    monkeypatch.setattr(lib, "im2col_gather_f64", spy)
+    # the exact read-out gathers float32 codes, the chain float64 pulses
+    for name in ("im2col_gather_f64", "im2col_gather_f32"):
+        monkeypatch.setattr(lib, name, spy(getattr(lib, name)))
     monkeypatch.setattr(numpy_impl, "im2col_pack", no_fallback)
     network = build_model("resnet_smoke")
-    executor = NetworkExecutor(network, SimContext(kernel="c"))
-    executor.run(executor.random_batch(2), validate=False)
-    assert len(calls) == len(network.compute_instances)
+    for noise in (None, HardwareNoiseConfig.scaled(1.0, seed=2)):
+        calls.clear()
+        executor = NetworkExecutor(network, SimContext(noise=noise, kernel="c"))
+        executor.run(executor.random_batch(2), validate=False)
+        assert len(calls) == len(network.compute_instances)
 
 
 class _Spied(np.ndarray):
@@ -290,10 +297,11 @@ class _Spied(np.ndarray):
 
 
 @pytest.mark.skipif("c" not in TIERS, reason="compiled tier not buildable here")
-def test_noiseless_conv_reads_gather_sums_and_scales_in_the_readout(monkeypatch):
-    """On ``kernel="c"`` the noiseless analog read-out receives the gather's
-    delay sums and the V_DD charge scale: no ``sum`` over the delays and no
-    separate ``*= v_dd`` pass over the charge buffer runs.
+def test_unjittered_chain_reads_gather_sums_and_scales_in_the_readout(monkeypatch):
+    """On ``kernel="c"`` an unjittered chain (programming variation only)
+    receives the gather's delay sums and the V_DD charge scale: no ``sum``
+    over the delays and no separate ``*= v_dd`` pass over the charge buffer
+    runs.
 
     Guards the bug class where the engine quietly re-derives the delay sums
     per chunk, or scales the charge tensor in an extra pass, while every
@@ -323,7 +331,8 @@ def test_noiseless_conv_reads_gather_sums_and_scales_in_the_readout(monkeypatch)
     monkeypatch.setattr(packed_mod, "readout_fused", readout)
     monkeypatch.setattr(packed_mod.PackedMatmul, "_chunk_buffer", spied_buffer)
     network = build_model("resnet_smoke")
-    ctx = SimContext(kernel="c", chunk_bytes=1 << 16)
+    variation = replace(HardwareNoiseConfig.ideal(), reram_conductance_sigma=0.01)
+    ctx = SimContext(noise=variation, kernel="c", chunk_bytes=1 << 16)
     executor = NetworkExecutor(network, ctx)
     executor.run(executor.random_batch(2), validate=False)
 
@@ -335,13 +344,17 @@ def test_noiseless_conv_reads_gather_sums_and_scales_in_the_readout(monkeypatch)
         assert any(np.shares_memory(delay_sums, sums) for sums in gathered)
 
 
+@pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("model", ["resnet_smoke", "cnn_1"])
 @pytest.mark.skipif("c" not in TIERS, reason="compiled tier not buildable here")
-def test_whole_network_c_and_numpy_tiers_are_bitwise_equal_f64(model):
+def test_whole_network_c_and_numpy_tiers_are_bitwise_equal_f64(model, noisy):
+    """Noiseless runs take the exact read-out; the noisy context keeps the
+    compiled time-domain chain under whole-network coverage."""
     network = build_model(model)
+    noise = HardwareNoiseConfig.scaled(1.0, seed=9) if noisy else None
     outputs = []
     for tier in ("numpy", "c"):
-        executor = NetworkExecutor(network, SimContext(kernel=tier, seed=5))
+        executor = NetworkExecutor(network, SimContext(noise=noise, kernel=tier, seed=5))
         outputs.append(executor.run(executor.random_batch(2), validate=False).output)
     assert outputs[0].dtype == outputs[1].dtype == np.float64
     assert outputs[0].tobytes() == outputs[1].tobytes()
@@ -364,15 +377,11 @@ def _historical_matmul(packed, codes):
     positions = codes.shape[0]
     grouped = codes.reshape(positions, packed.n_groups, packed.rows_needed)
     grouped = np.ascontiguousarray(grouped.transpose(1, 0, 2))
-    if packed.mode == "ideal":
-        if packed._ideal_exact:
-            products = (grouped.astype(packed._encoded.dtype) @ packed._encoded).astype(
-                np.float64, copy=False
-            )
-        else:
-            products = (
-                grouped @ packed._encoded.astype(np.int64, order="K")
-            ).astype(np.float64)
+    if packed.readout == "exact":
+        # exact integer sums: any exact evaluation order gives these bytes
+        products = (grouped @ packed._weights.astype(np.int64, order="K")).astype(
+            np.float64
+        )
     else:
         spec, noise, dtype = packed.spec, packed._read_noise, packed.compute_dtype
         if noise is not None and noise.dtc_sigma > 0:
@@ -437,7 +446,6 @@ def _grouped_net():
 def test_engine_gather_is_byte_identical_to_the_historical_chain(
     monkeypatch, tier, mode, dtype, noisy, model
 ):
-    from repro.circuits.noise import HardwareNoiseConfig
     from repro.engine.executor import _MappedComputeLayer
 
     network = _grouped_net() if model == "grouped" else build_model(model)
@@ -523,14 +531,12 @@ def test_unavailable_tier_degrades_with_one_warning(monkeypatch):
         dispatch.reset()
 
 
-def test_context_validates_kernel_and_threads():
+def test_context_validates_kernel():
     assert SimContext(kernel="numpy").kernel == "numpy"
     with pytest.raises(ValueError):
         SimContext(kernel="fortran")
-    with pytest.raises(ValueError):
-        SimContext(threads=0)
-    # tier and threads are metadata, not semantics: equal contexts, equal keys
-    assert SimContext(kernel="numpy") == SimContext(kernel="auto", threads=4)
+    # the tier is metadata, not semantics: equal contexts, equal keys
+    assert SimContext(kernel="numpy") == SimContext(kernel="auto")
 
 
 # -- end-to-end: the engine is tier-invariant ---------------------------------
@@ -545,8 +551,6 @@ def _run(model, ctx):
 @pytest.mark.parametrize("tier", COMPILED)
 @pytest.mark.parametrize("noisy", [False, True])
 def test_engine_outputs_are_tier_invariant(tier, noisy):
-    from repro.circuits.noise import HardwareNoiseConfig
-
     model = build_model("tiny_cnn")
     noise = HardwareNoiseConfig.scaled(1.0, seed=7) if noisy else None
     key_ref, ref = _run(model, SimContext(noise=noise, kernel="numpy"))
@@ -564,29 +568,16 @@ def test_engine_float32_outputs_are_tier_invariant(tier):
     np.testing.assert_array_equal(got.output, ref.output)
 
 
-# -- threaded chunk walk: byte-identical at any worker count ------------------
+# -- chunk walk: the exact read-out is chunk-invariant to the byte ----------
 
 
 @pytest.mark.parametrize("tier", TIERS)
-def test_threaded_chunk_walk_is_byte_identical(tier):
+def test_chunk_walk_is_byte_identical(tier):
     model = build_model("tiny_cnn")
-    outputs = {}
-    for workers in (1, 2, 4):
-        ctx = SimContext(chunk_bytes=4096, threads=workers, kernel=tier)
-        _, result = _run(model, ctx)
-        outputs[workers] = result.output
-    np.testing.assert_array_equal(outputs[2], outputs[1])
-    np.testing.assert_array_equal(outputs[4], outputs[1])
-    # and the chunked threaded walk equals the unchunked serial pass
     _, whole = _run(model, SimContext(kernel=tier))
-    np.testing.assert_array_equal(outputs[1], whole.output)
-
-
-def test_threads_without_chunking_is_a_no_op():
-    model = build_model("tiny_cnn")
-    _, serial = _run(model, SimContext())
-    _, threaded = _run(model, SimContext(threads=4))
-    np.testing.assert_array_equal(threaded.output, serial.output)
+    for chunk_bytes in (1, 4096, 1 << 16):  # 1: one position per chunk
+        _, chunked = _run(model, SimContext(chunk_bytes=chunk_bytes, kernel=tier))
+        np.testing.assert_array_equal(chunked.output, whole.output)
 
 
 # -- the environment this matrix actually covered -----------------------------

@@ -6,7 +6,9 @@ programs one crossbar object per tile.  Hypothesis searches weight and
 cell precisions (the 3-bit cell split included), group counts, partial row
 and column tiles and small crossbar geometries for any layer on which the
 two disagree: beyond 1e-9 relative in analog mode, by any bit in ideal
-mode, or on the crossbar count.
+mode, or on the crossbar count.  A noiseless packed layer takes the exact
+integer read-out, so a second property holds the packed time-domain chain
+itself to the same bar against that exact read-out.
 
 The analog bar is relative to the layer's read-out full scale — the
 largest value one output column can take before the digital offset
@@ -25,7 +27,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.context import ArchSpec, SimContext  # noqa: E402
-from repro.engine import PackedMatmul  # noqa: E402
+from repro.engine import FaultModel, PackedMatmul  # noqa: E402
 from repro.engine.tiles import TiledMatmul  # noqa: E402
 
 #: (weight_bits, cell_bits): 1, 2, 3 and 4 bit-cell slices per weight,
@@ -83,3 +85,22 @@ def test_packed_matches_the_tiled_oracle(case, mode):
     else:
         full_scale = (2**arch.input_bits - 1) * 2**arch.weight_bits * q.shape[1]
         assert np.abs(got - ref).max() <= 1e-9 * full_scale
+
+
+#: routes a layer through the time-domain chain without changing a value:
+#: the chain's own clips keep every estimate at or below ``dot_max``
+CHAIN = FaultModel(readout_saturation=1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layers())
+def test_packed_chain_matches_the_exact_readout(case):
+    arch, q, codes = case
+    exact = PackedMatmul(q, SimContext(arch=arch), "analog")
+    chain = PackedMatmul(q, SimContext(arch=arch, faults=CHAIN), "analog")
+    assert (exact.readout, chain.readout) == ("exact", "chain")
+    ref = exact.matmul(*exact.gather(codes))
+    np.testing.assert_array_equal(ref, _per_group(codes, q, np.matmul))
+    got = chain.matmul(*chain.gather(codes))
+    full_scale = (2**arch.input_bits - 1) * 2**arch.weight_bits * q.shape[1]
+    assert np.abs(got - ref).max() <= 1e-9 * full_scale

@@ -3,7 +3,9 @@ path against the tiled test oracle (noiseless, across cell splits, grouped
 convolutions, partial edge tiles and batches), the batch-dimension
 semantics, validation gating and the >=10x cnn_1 speedup bar."""
 
+import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,25 +99,36 @@ def test_packed_rejects_bad_weights_and_codes():
         packed.gather(np.zeros((2, 5), dtype=int))  # wrong row count
 
 
-def test_noiseless_analog_matmul_needs_the_gather_delay_sums():
+def test_unjittered_chain_matmul_needs_the_gather_delay_sums():
     """The chunk walk has no per-chunk sum of its own to fall back on."""
-    packed = PackedMatmul(np.zeros((4, 4), dtype=int), SimContext())
+    variation = replace(HardwareNoiseConfig.ideal(), reram_conductance_sigma=0.01)
+    packed = PackedMatmul(np.zeros((4, 4), dtype=int), SimContext(noise=variation))
+    assert packed.readout == "chain"
     operand, code_sums, delay_sums = packed.gather(np.ones((2, 4), dtype=int))
     assert delay_sums.shape == (1, 1, 2)  # (row_tiles, groups, positions)
     with pytest.raises(EngineError, match="delay sums"):
         packed.matmul(operand, code_sums)
-    # ideal mode and a jittered DTC need none from the gather
-    assert PackedMatmul(np.zeros((4, 4), dtype=int), SimContext(), "ideal").gather(
-        np.ones((2, 4), dtype=int)
-    )[2] is None
+    # the exact read-out and a jittered DTC need none from the gather
+    for ctx, mode in (
+        (SimContext(), "ideal"),
+        (SimContext(), "analog"),
+        (SimContext(noise=HardwareNoiseConfig.scaled(1.0)), "analog"),
+    ):
+        packed = PackedMatmul(np.zeros((4, 4), dtype=int), ctx, mode)
+        assert packed.gather(np.ones((2, 4), dtype=int))[2] is None
 
 
 def test_packed_stores_true_size_not_padded_tiles():
     """Partial tiles live at their true height x width in the packed tensors."""
     arch = ArchSpec()  # 256x256, 2 slices per 8-bit weight
-    packed = PackedMatmul(RNG.integers(-10, 10, size=(30, 5)), SimContext(arch=arch))
-    # two float64 slice tensors of the true 30x5 shape — not 256x256 padding
-    assert packed.packed_bytes == 2 * 30 * 5 * 8
+    q = RNG.integers(-10, 10, size=(30, 5))
+    packed = PackedMatmul(q, SimContext(arch=arch))
+    # the exact read-out: one float32 copy of the true 30x5 levels
+    assert packed.packed_bytes == 30 * 5 * 4
+    # the chain: two float64 slice tensors of the true 30x5 shape — not
+    # 256x256 padding
+    noisy = PackedMatmul(q, SimContext(arch=arch, noise=HardwareNoiseConfig()))
+    assert noisy.packed_bytes == 2 * 30 * 5 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +297,10 @@ def test_quantize_unsigned_batch_matches_per_image():
 # the performance bar
 # ---------------------------------------------------------------------------
 
-def _best_of(func, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _timed(func) -> float:
+    start = time.perf_counter()
+    func()
+    return time.perf_counter() - start
 
 
 def test_packed_cnn1_analog_run_is_at_least_10x_faster_than_tiled():
@@ -298,7 +308,12 @@ def test_packed_cnn1_analog_run_is_at_least_10x_faster_than_tiled():
     packed engine than on the per-crossbar tiled oracle.  Both are
     programmed once (weights are written to the arrays a single time in a
     serving scenario) and timed on the same 4-image batch with validation
-    off, so the comparison isolates the two execution paths themselves."""
+    off, so the comparison isolates the two execution paths themselves.
+
+    The two runs are timed in adjacent pairs and the bar applies to the
+    median of the pairs' ratios: a machine whose clock changes speed every
+    few seconds then slows both sides of a pair alike instead of whichever
+    side a best-of window happened to catch."""
     network = build_model("cnn_1")
     ctx = SimContext()
     packed = NetworkExecutor(network, ctx, mode="analog")
@@ -306,8 +321,20 @@ def test_packed_cnn1_analog_run_is_at_least_10x_faster_than_tiled():
     programmed = program_tiled(network, ctx, "analog", params)
     x = packed.random_batch(4)
     packed.run(x, validate=False)  # warm-up
-    packed_s = _best_of(lambda: packed.run(x, validate=False), repeats=5)
-    tiled_s = _best_of(
-        lambda: tiled_forward(network, ctx, x, "analog", params, programmed), repeats=3
-    )
-    assert tiled_s / packed_s >= 10.0, f"only {tiled_s / packed_s:.1f}x"
+
+    def packed_run():
+        packed.run(x, validate=False)
+
+    def tiled_run():
+        tiled_forward(network, ctx, x, "analog", params, programmed)
+
+    ratios = []
+    for i in range(6):
+        # alternate which side goes first, so neither always runs warm
+        if i % 2:
+            tiled_s, packed_s = _timed(tiled_run), _timed(packed_run)
+        else:
+            packed_s, tiled_s = _timed(packed_run), _timed(tiled_run)
+        ratios.append(tiled_s / packed_s)
+    ratio = statistics.median(ratios)
+    assert ratio >= 10.0, f"only {ratio:.1f}x (pairs: {sorted(ratios)})"

@@ -86,15 +86,20 @@ def test_executor_records_its_state():
 @pytest.mark.parametrize("kernel", TIERS)
 @pytest.mark.parametrize("cell_bits", CELL_SPLITS)
 @pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize(
+    "mode,noise",
+    [("analog", None), ("analog", HardwareNoiseConfig(seed=4)), ("ideal", None)],
+    ids=["analog-exact", "analog-chain", "ideal"],
+)
 def test_round_trip_is_byte_identical_across_cell_splits(
-    tmp_path, cell_bits, mmap, kernel
+    tmp_path, cell_bits, mmap, kernel, mode, noise
 ):
     """save -> load (eager and mmap) -> from_state reproduces a freshly
     programmed executor bit-for-bit, for every bit-cell slicing and kernel
-    tier."""
+    tier, on the exact read-out and on the time-domain chain."""
     network = build_model("tiny_cnn")
-    ctx = SimContext(arch=ArchSpec(cell_bits=cell_bits), kernel=kernel)
-    fresh = NetworkExecutor(network, ctx)
+    ctx = SimContext(arch=ArchSpec(cell_bits=cell_bits), noise=noise, kernel=kernel)
+    fresh = NetworkExecutor(network, ctx, mode)
     fresh.state.save(tmp_path / "state")
     loaded = ProgrammedState.load(tmp_path / "state", mmap=mmap)
     rebuilt = NetworkExecutor.from_state(loaded, network=network, ctx=ctx)
@@ -142,12 +147,12 @@ def test_saved_meta_and_payload_round_trip_fields(tmp_path):
     assert loaded.key == state.key
     assert [l.name for l in loaded.layers] == [l.name for l in state.layers]
     for a, b in zip(state.layers, loaded.layers):
-        assert len(a.conductances) == len(b.conductances)
-        for ca, cb in zip(a.conductances, b.conductances):
-            np.testing.assert_array_equal(ca, cb)
-            # BLAS results depend on operand memory layout, so the saved
-            # tensors must come back with the layout they were packed in
-            assert ca.flags["F_CONTIGUOUS"] == cb.flags["F_CONTIGUOUS"]
+        assert a.encoded.dtype == b.encoded.dtype == np.uint8  # 8-bit weights
+        np.testing.assert_array_equal(a.encoded, b.encoded)
+        # the chain's conductances inherit the levels' layout and BLAS
+        # results depend on operand memory layout, so the saved levels
+        # must come back with the layout they were packed in
+        assert a.encoded.flags["F_CONTIGUOUS"] == b.encoded.flags["F_CONTIGUOUS"]
 
 
 def test_save_is_idempotent_and_existing_entry_wins(tmp_path):
@@ -174,14 +179,15 @@ def test_load_rejects_missing_and_wrong_format(tmp_path):
     )
     with pytest.raises(EngineError, match="format"):
         ProgrammedState.load(path)
-    # a format-2 manifest (it still recorded an engine backend and a tiled
-    # ``q`` payload slot) is rejected by name rather than half-loaded
+    # a format-3 manifest (per-slice conductance files next to an optional
+    # float encoded matrix) is rejected by name rather than half-loaded
     doc = json.loads(meta.read_text())
-    doc.update(format=2, backend="packed")
+    doc.update(format=3)
     for layer in doc["layers"]:
-        layer["q"] = None
+        layer["conductances"] = [layer["encoded"]]
+        layer["encoded"] = None
     meta.write_text(json.dumps(doc))
-    with pytest.raises(EngineError, match="has format 2; this build reads format 3"):
+    with pytest.raises(EngineError, match="has format 3; this build reads format 4"):
         ProgrammedState.load(path)
 
 
